@@ -265,13 +265,6 @@ class RankCheckpointer:
         self.saved_bytes = 0
 
     # ------------------------------------------------------------------
-    def chunk_views(self, storage) -> List[Tuple[str, np.ndarray]]:
-        """Zero-copy ``(name, uint8 view)`` pairs over *storage*'s arena."""
-        return [
-            (spec.name, storage.slot_bytes(spec.start_slot, spec.nslots))
-            for spec in self.specs
-        ]
-
     def save(
         self,
         epoch: int,

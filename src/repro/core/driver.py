@@ -8,14 +8,21 @@ timesteps with a chosen exchange method.  Each rank is a thread in the
 figure benches also use), while the run additionally verifies itself: the
 assembled global result must equal the serial periodic reference
 bit-for-bit.
+
+Each rank builds a :class:`RankOperand` (array or brick form) and replays
+it through :class:`~repro.core.runplan.RankRunPlan`, the one step loop;
+run features -- crash check, checkpointing, degradation ladder, wire
+retry, metrics -- are step hooks composed around it.
 """
 
 from __future__ import annotations
 
-import math
+import functools
+import itertools
 import time
 import zlib
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -38,7 +45,6 @@ from repro.core.model import (
     compute_time_table,
     exchange_breakdown,
     make_transport,
-    model_timestep,
     _schedules,
 )
 from repro.core.problem import StencilProblem
@@ -128,33 +134,31 @@ class ExecutedRun:
         return self.hidden_comm_s / total if total > 0.0 else 0.0
 
 
-def _make_exchanger(
-    info: MethodInfo,
-    cart,
-    problem: StencilProblem,
-    profile: MachineProfile,
-    array: Optional[np.ndarray],
-    brick_state: Optional[tuple],
-    page_size: Optional[int],
-):
+def _make_exchanger(base: str, cart, profile: MachineProfile, operand, buf):
+    """The *base* method's exchanger over one of *operand*'s buffers."""
+    problem = operand.problem
     ext, g = problem.subdomain_extent, problem.ghost
-    if info.base in ("yask", "yask_ol"):
-        return PackExchanger(cart, array, ext, g, profile)
-    if info.base == "mpi_types":
-        return MPITypesExchanger(cart, array, ext, g, profile)
-    if info.base == "shift":
-        return ShiftExchanger(cart, array, ext, g, profile)
-    decomp, storage, assignment = brick_state
-    if info.base in ("layout", "basic"):
-        return LayoutExchanger(
-            cart, decomp, storage, assignment, profile,
-            merge_runs=(info.base == "layout"),
-        )
-    if info.base == "memmap":
-        return MemMapExchanger(
-            cart, decomp, storage, assignment, profile, page_size
-        )
-    raise ValueError(f"method {info.name!r} is model-only and cannot execute")
+    if base in ("yask", "yask_ol"):
+        return PackExchanger(cart, buf, ext, g, profile)
+    if base == "mpi_types":
+        return MPITypesExchanger(cart, buf, ext, g, profile)
+    if base == "shift":
+        return ShiftExchanger(cart, buf, ext, g, profile)
+    args = (cart, operand.decomp, buf, operand.asn, profile)
+    if base in ("layout", "basic"):
+        return LayoutExchanger(*args, merge_runs=(base == "layout"))
+    if base == "memmap":
+        return MemMapExchanger(*args, operand.page)
+    if base == "brickpack":
+        return BrickPackExchanger(*args)
+    raise ValueError(f"method {base!r} is model-only and cannot execute")
+
+
+def _close_all(exchangers) -> None:
+    for ex in exchangers:
+        close = getattr(ex, "close", None)
+        if close:
+            close()
 
 
 # Degradation ladder for MemMap runs: when the mapping machinery fails
@@ -165,56 +169,43 @@ def _make_exchanger(
 _LADDER = ("memmap", "basic", "brickpack")
 
 
-def _ladder_exchanger(level, cart, profile, decomp, storage, assignment, page):
-    if level == 0:
-        return MemMapExchanger(cart, decomp, storage, assignment, profile, page)
-    if level == 1:
-        return LayoutExchanger(
-            cart, decomp, storage, assignment, profile, merge_runs=False
-        )
-    return BrickPackExchanger(cart, decomp, storage, assignment, profile)
+def _build_rung(operand, level, cart, profile) -> int:
+    """Build *operand*'s exchangers at ladder *level*; 1 when the mapping
+    machinery refused (the rank's vote to demote), else 0."""
+    operand.exchangers, operand.ladder_level = [], level
+    try:
+        for buf in operand.buffers:
+            operand.exchangers.append(
+                _make_exchanger(_LADDER[level], cart, profile, operand, buf)
+            )
+    except (OSError, ValueError):
+        return 1
+    return 0
 
 
-def _build_ladder(
-    cart, level, profile, decomp, storages, assignment, page,
-    injector, counters, step,
-):
-    """Build exchangers at *level*, demoting collectively on failure.
+def _vote_ladder(operand, want, cart, profile, injector, counters, step) -> bool:
+    """Demote collectively while any rank votes to; True if it demoted.
 
-    Every rank votes (allreduce-max) on whether any construction failed;
-    demotion is all-or-none so peers always run wire-compatible engines.
-    Returns ``(exchangers, level)``.
+    Every rank votes (allreduce-max) -- first *want*, then whether its
+    rebuild at the next rung failed -- so demotion is all-or-none and
+    peers always run wire-compatible engines.
     """
-    rank = cart.rank
-    while True:
-        built = []
-        try:
-            for st in storages:
-                built.append(
-                    _ladder_exchanger(
-                        level, cart, profile, decomp, st, assignment, page
-                    )
-                )
-            failed = 0
-        except (OSError, ValueError):
-            failed = 1
-        if not int(allreduce(cart, np.asarray(failed), np.maximum)):
-            return built, level
-        for ex in built:
-            close = getattr(ex, "close", None)
-            if close:
-                close()
+    start = level = operand.ladder_level
+    while int(allreduce(cart, np.asarray(want), np.maximum)):
         if level + 1 >= len(_LADDER):
             raise RuntimeError(
                 "degradation ladder exhausted: even brick packing failed"
             )
+        _close_all(operand.exchangers)
         level += 1
         counters["demotions"] += 1
         if injector is not None:
-            injector.record("demoted", src=rank, step=step)
+            injector.record("demoted", src=cart.rank, step=step)
         if _METRICS.enabled:
-            _METRICS.count("faults.demoted", 1, rank=rank)
-            _METRICS.gauge("exchange.ladder_level", level, rank=rank)
+            _METRICS.count("faults.demoted", 1, rank=cart.rank)
+            _METRICS.gauge("exchange.ladder_level", level, rank=cart.rank)
+        want = _build_rung(operand, level, cart, profile)
+    return level != start
 
 
 def _vmem_probe_failed(storage, page: int) -> bool:
@@ -225,37 +216,6 @@ def _vmem_probe_failed(storage, page: int) -> bool:
         return True
     view.close()
     return False
-
-
-def _exchange_with_retry(comm, exchanger, t, envelope, retry, injector):
-    """One exchange, healed by bounded retry-with-backoff.
-
-    Safe because detected faults leave a pristine retransmit queued and
-    the envelope fabric makes whole-exchange retries idempotent (posts
-    suppressed, deliveries replayed); see DESIGN.md.
-    """
-    rank = comm.rank
-    if envelope:
-        comm.set_epoch(t)
-    try:
-        attempt = 0
-        while True:
-            try:
-                result = exchanger.exchange()
-            except (ExchangeIntegrityError, ExchangeTimeoutError):
-                if retry is None or attempt >= retry.max_retries:
-                    raise
-                if injector is not None:
-                    injector.record("retry", src=rank, step=t)
-                time.sleep(retry.sleep_for(attempt))
-                attempt += 1
-                continue
-            if attempt and injector is not None:
-                injector.record("healed", src=rank, step=t)
-            return result
-    finally:
-        if envelope:
-            comm.set_epoch(None)
 
 
 def _modelled_totals(
@@ -330,51 +290,357 @@ def _modelled_totals(
     return totals, hidden_total
 
 
-def _ckpt_meta(
-    t: int,
-    counters: dict,
-    timer: PhaseTimer,
-    ladder_level,
-    period: int,
-    adjacency_crc: int,
-    injector: Optional[FaultInjector],
-) -> dict:
-    """Everything besides the field bytes a resumed rank needs back."""
-    return {
-        "step": int(t),
-        "counters": {k: int(v) for k, v in counters.items()},
-        "measured": timer.breakdown.as_dict(),
-        "ladder_level": ladder_level,
-        "period": int(period),
-        "adjacency_crc": int(adjacency_crc),
-        "fired_crashes": injector.crashed() if injector is not None else [],
-    }
+class RankOperand:
+    """One rank's double-buffered field and everything bound to it.
+
+    Owns the two buffers and the exchangers over them, one stencil plan
+    per cycle position plus the phased (interior, surface) pair, the
+    snapshot chunk views and the slot ranges an exchange (``ghost_ranges``)
+    and a calc (``cycle_slots``) dirty, result extraction and teardown.
+    The array and brick forms differ only in geometry.
+    """
+
+    ladder_level = None  # degradation-ladder rung; None without a ladder
+
+    def __init__(self, problem: StencilProblem, period: int) -> None:
+        self.problem = problem
+        self.period = period
+        self.own_slc = owned_slices(problem.subdomain_extent, problem.ghost)
+        self.exchangers: list = []
+
+    def extended(self) -> np.ndarray:
+        """A zeroed extended (ghost-padded) subdomain array."""
+        g, ext = self.problem.ghost, self.problem.subdomain_extent
+        shape = tuple(e + 2 * g for e in reversed(ext))
+        return np.zeros(shape, dtype=self.problem.dtype)
+
+    def compile(self, use_plans: bool) -> None:
+        """One stencil plan per cycle position: the compiled execution
+        plan, or with *use_plans* off the generic reference kernel behind
+        the same ``execute(src, dst)`` call."""
+        self.plans = [self._step(pos, use_plans) for pos in range(self.period)]
+
+    def close(self) -> None:
+        _close_all(self.exchangers)
 
 
-def _ckpt_apply_meta(
-    meta: dict,
-    counters: dict,
-    timer: PhaseTimer,
-    period: int,
-    adjacency_crc: int,
-    injector: Optional[FaultInjector],
-) -> int:
-    """Re-install restored cursors; returns the step to resume from."""
-    if int(meta["period"]) != period:
-        raise CheckpointError(
-            f"snapshot was taken with exchange period {meta['period']},"
-            f" this run uses {period}"
+class ArrayOperand(RankOperand):
+    """Array methods: two extended subdomain arrays.
+
+    The whole extended array, ghost margins included, is one snapshot
+    slot (the margins make mid-cycle restores of period>1 runs
+    self-contained) that every calc rewrites.
+    """
+
+    chunk_specs = (ChunkSpec("array", 0, 1),)
+    slot_layout = (1, 1)  # (alignment, total slots) of the snapshot key
+    adjacency_crc = 0
+    ghost_ranges = ()
+
+    def __init__(self, problem, info, profile, page_size, exchange_period):
+        spec, g = problem.stencil, problem.ghost
+        period = _resolve_period(exchange_period, g // spec.radius, "element")
+        super().__init__(problem, period)
+        self.margins = margins_for_period(period, spec.radius, g)
+        self.computed_points = [
+            int(np.prod([e + 2 * m for e in problem.subdomain_extent]))
+            for m in self.margins
+        ]
+        self.buffers = [self.extended(), self.extended()]
+        self.cycle_slots = [(0,)] * period  # every calc rewrites slot 0
+        self._geometry = (spec, problem.subdomain_extent, g)
+
+    def load(self, owned: np.ndarray) -> None:
+        self.buffers[0][self.own_slc] = owned
+
+    def _step(self, pos: int, use_plans: bool):
+        args = (*self._geometry, self.margins[pos])
+        if use_plans:
+            return compile_array_plan(*args, self.problem.dtype)
+        return SimpleNamespace(
+            execute=lambda src, dst: apply_array_stencil(src, dst, *args)
         )
-    if int(meta["adjacency_crc"]) != int(adjacency_crc):
-        raise CheckpointError(
-            "snapshot adjacency/layout permutation does not match the"
-            " rebuilt BrickInfo"
+
+    def phase_plans(self) -> tuple:
+        return compile_array_phase_plans(
+            *self._geometry, self.margins[0], self.problem.dtype
         )
-    counters.update({k: int(v) for k, v in meta["counters"].items()})
-    timer.breakdown = TimeBreakdown(**meta["measured"])
-    if injector is not None:
-        injector.mark_fired(meta.get("fired_crashes") or ())
-    return int(meta["step"])
+
+    def chunk_views(self, src: int) -> list:
+        return [("array", self.buffers[src].reshape(-1).view(np.uint8))]
+
+    def result(self, src: int) -> np.ndarray:
+        return self.buffers[src][self.own_slc].copy()
+
+
+class BrickOperand(RankOperand):
+    """Brick methods: two brick storages over one slot assignment.
+
+    Snapshots are section-granular and cover the src storage only: the
+    ghost-expansion invariant (bricks read at cycle position pos+1 were
+    computed at pos) means the dst buffer never holds bytes a resumed
+    run could read.
+    """
+
+    def __init__(self, problem, info, profile, page_size, exchange_period):
+        decomp = self.decomp = BrickDecomp(
+            problem.subdomain_extent, problem.brick_dim, problem.ghost,
+            problem.layout, problem.dtype,
+        )
+        self.page = page_size or (
+            profile.gpu.page_size if info.is_gpu and profile.gpu else profile.page_size
+        )
+        if info.base == "memmap":
+            alloc = functools.partial(decomp.mmap_alloc, self.page)
+        else:
+            alloc = decomp.allocate
+        (sa, asn), (sb, _) = alloc(), alloc()
+        self.buffers, self.asn = [sa, sb], asn
+        self.binfo = decomp.brick_info(asn)
+        period = _resolve_period(exchange_period, decomp.width, "brick")
+        super().__init__(problem, period)
+        self.cycle_slots = brick_cycle_slots(
+            decomp, asn, problem.stencil.radius,
+            depths_for_period(period, decomp.width),
+        )
+        self.computed_points = [
+            len(slots) * decomp.brick_volume for slots in self.cycle_slots
+        ]
+        self.chunk_specs = storage_chunks(asn)
+        self.slot_layout = (asn.alignment, asn.total_slots)
+        self.adjacency_crc = zlib.crc32(
+            np.ascontiguousarray(self.binfo.adjacency).tobytes()
+        )
+        self.ghost_ranges = [
+            (s.start, s.nbricks) for s in asn.sections if s.kind == "ghost"
+        ]
+
+    def load(self, owned: np.ndarray) -> None:
+        ext = self.extended()
+        ext[self.own_slc] = owned
+        extended_to_bricks(ext, self.decomp, self.buffers[0], self.asn)
+
+    def _step(self, pos: int, use_plans: bool):
+        # Compiled: fused gather tables, persistent halo/accumulator
+        # buffers and the specialized batch kernel.
+        args = (self.problem.stencil, self.binfo, self.cycle_slots[pos])
+        if use_plans:
+            return compile_brick_plan(*args, 0, self.problem.dtype)
+        spec, binfo, slots = args
+        return SimpleNamespace(
+            execute=lambda src, dst: apply_brick_stencil(
+                spec, src, dst, binfo, slots
+            )
+        )
+
+    def phase_plans(self) -> tuple:
+        # Interior bricks are the slots whose adjacency references no
+        # ghost-section slot.
+        return compile_brick_phase_plans(
+            self.problem.stencil, self.binfo, self.asn, self.cycle_slots[0],
+            0, self.problem.dtype,
+        )
+
+    def chunk_views(self, src: int) -> list:
+        storage = self.buffers[src]
+        return [
+            (spec.name, storage.slot_bytes(spec.start_slot, spec.nslots))
+            for spec in self.chunk_specs
+        ]
+
+    def result(self, src: int) -> np.ndarray:
+        return bricks_to_extended(
+            self.decomp, self.buffers[src], self.asn,
+            out=conversion_scratch(self.decomp),
+        )[self.own_slc].copy()
+
+    def close(self) -> None:
+        super().close()
+        for st in self.buffers:
+            st.close()
+
+
+# Step hooks (see repro.core.runplan): each feature of a run is one hook
+# object, composed by _rank_fn in the order crash check, checkpoint,
+# degradation vote, exchange retry, metrics.
+
+
+class _CrashHook:
+    """Scheduled permanent deaths and survivable crashes of a fault plan."""
+
+    def __init__(self, comm: SimComm, injector: FaultInjector) -> None:
+        self.comm = comm
+        self.injector = injector
+
+    def before_step(self, plan, t: int, src: int) -> None:
+        fabric, rank, injector = self.comm.fabric, self.comm.rank, self.injector
+        fabric.heartbeat(rank)
+        if injector.death_due(rank, t):
+            # Permanent node loss, checked before the crash: death wins.
+            # Marking the fabric makes peers targeting this rank fail
+            # fast with the same typed error instead of timing out.
+            fabric.mark_dead(rank)
+            raise RankDeadError(
+                f"rank {rank} died permanently at step {t} (scheduled by"
+                f" fault plan seed {injector.plan.seed})"
+            )
+        if injector.crash_due(rank, t):
+            raise InjectedCrashError(
+                f"rank {rank} crashed at step {t} (scheduled by fault plan"
+                f" seed {injector.plan.seed})"
+            )
+
+
+class _CheckpointHook:
+    """Snapshot restore and save, plus the dirty marking incremental
+    snapshots need.
+
+    Snapshots run after the crash check (a rank never snapshots the step
+    it dies on) and before the degradation vote (demotion events after
+    the snapshot refire identically on replay, so they must not be
+    double-counted).  The meta carries everything besides the field
+    bytes a resumed rank needs back.
+    """
+
+    def __init__(self, cp, operand, counters, timer, injector) -> None:
+        self.cp = cp
+        self.operand = operand
+        self.counters = counters
+        self.timer = timer
+        self.injector = injector
+        self.start_step = 0
+
+    def restore(self, epoch: int) -> dict:
+        """Load *epoch* into buffer 0 and re-install its cursors.
+
+        Restoring writes through the arena, so MemMap stitched views
+        built afterwards alias the restored bytes (vmem re-attach).
+        """
+        op = self.operand
+        meta = self.cp.restore(epoch, op.chunk_views(0))
+        if int(meta["period"]) != op.period:
+            raise CheckpointError(
+                f"snapshot was taken with exchange period {meta['period']},"
+                f" this run uses {op.period}"
+            )
+        if int(meta["adjacency_crc"]) != int(op.adjacency_crc):
+            raise CheckpointError(
+                "snapshot adjacency/layout permutation does not match the"
+                " rebuilt BrickInfo"
+            )
+        self.counters.update({k: int(v) for k, v in meta["counters"].items()})
+        self.timer.breakdown = TimeBreakdown(**meta["measured"])
+        if self.injector is not None:
+            self.injector.mark_fired(meta.get("fired_crashes") or ())
+        self.start_step = int(meta["step"])
+        return meta
+
+    def before_step(self, plan, t: int, src: int) -> None:
+        if not self.cp.config.due(t, self.start_step):
+            return
+        op, injector = self.operand, self.injector
+        self.cp.save(t, op.chunk_views(src), {
+            "step": int(t),
+            "counters": {k: int(v) for k, v in self.counters.items()},
+            "measured": self.timer.breakdown.as_dict(),
+            "ladder_level": op.ladder_level,
+            "period": int(op.period),
+            "adjacency_crc": int(op.adjacency_crc),
+            "fired_crashes": injector.crashed() if injector is not None else [],
+        })
+
+    def after_exchange(self, t: int, src: int, res) -> None:
+        # An exchange rewrites every ghost section of the src buffer.
+        for start, n in self.operand.ghost_ranges:
+            self.cp.dirty.mark_range(start, n)
+
+    def after_calc(self, t: int, pos: int, src: int) -> None:
+        self.cp.dirty.mark_slots(self.operand.cycle_slots[pos])
+
+
+class _DegradeHook:
+    """Collective demotion vote before each exchange (MemMap ladder).
+
+    A rank whose mapping machinery fails a live probe asks for demotion;
+    allreduce-max keeps every rank on the same (wire-compatible) engine.
+    The rebuilt engines keep the run's channel setting and partition
+    count, so phased peers never meet unpartitioned ones.
+    """
+
+    def __init__(self, cart, profile, operand, injector, counters,
+                 engine_args: tuple) -> None:
+        self.cart = cart
+        self.profile = profile
+        self.operand = operand
+        self.injector = injector
+        self.counters = counters
+        self.engine_args = engine_args  # (channels, partitions)
+
+    def before_step(self, plan, t: int, src: int) -> None:
+        if t % plan.period:
+            return
+        op, injector, rank = self.operand, self.injector, self.cart.rank
+        want = 0
+        if (
+            injector is not None
+            and op.ladder_level + 1 < len(_LADDER)
+            and injector.degrade_due(rank, t)
+        ):
+            with injector.vmem_armed("view_map_chunk"):
+                if _vmem_probe_failed(op.buffers[src], op.page):
+                    injector.record("vmem_fault", src=rank, step=t)
+                    want = 1
+        if _vote_ladder(op, want, self.cart, self.profile, injector,
+                        self.counters, t):
+            plan.rebind(make_engines(op.exchangers, *self.engine_args))
+
+
+class _RetryHook:
+    """Fire each exchange under its envelope epoch, healed by bounded
+    retry-with-backoff.
+
+    Safe because detected faults leave a pristine retransmit queued and
+    the envelope fabric makes whole-exchange retries idempotent (posts
+    suppressed, deliveries replayed); see DESIGN.md.
+    """
+
+    def __init__(self, comm: SimComm, retry: RetryPolicy, injector) -> None:
+        self.comm = comm
+        self.retry = retry
+        self.injector = injector
+
+    def fire(self, engine, t: int):
+        comm, retry, injector = self.comm, self.retry, self.injector
+        comm.set_epoch(t)
+        try:
+            for attempt in itertools.count():
+                try:
+                    result = engine.exchange()
+                except (ExchangeIntegrityError, ExchangeTimeoutError):
+                    if attempt >= retry.max_retries:
+                        raise
+                    if injector is not None:
+                        injector.record("retry", src=comm.rank, step=t)
+                    time.sleep(retry.sleep_for(attempt))
+                    continue
+                if attempt and injector is not None:
+                    injector.record("healed", src=comm.rank, step=t)
+                return result
+        finally:
+            comm.set_epoch(None)
+
+
+class _MetricsHook:
+    """Per-exchange driver counters, composed while metrics are on."""
+
+    def __init__(self, rank: int) -> None:
+        self.rank = rank
+
+    def after_exchange(self, t: int, src: int, res) -> None:
+        rank = self.rank
+        _METRICS.count("driver.exchanges", 1, rank=rank)
+        _METRICS.count("driver.messages", res.messages_sent, rank=rank)
+        _METRICS.count("driver.wire_bytes", res.wire_bytes_sent, rank=rank)
 
 
 def _rank_fn(
@@ -387,423 +653,104 @@ def _rank_fn(
     page_size: Optional[int],
     exchange_period,
     use_plans: bool,
-    overlap: bool = False,
-    injector: Optional[FaultInjector] = None,
-    envelope: bool = False,
-    retry: Optional[RetryPolicy] = None,
-    degrade_enabled: bool = False,
-    ckpt: Optional[CheckpointConfig] = None,
+    overlap: bool,
+    injector: Optional[FaultInjector],
+    envelope: bool,
+    retry: Optional[RetryPolicy],
+    degrade_enabled: bool,
+    ckpt: Optional[CheckpointConfig],
+    deferred: list,
 ):
     info = method_info(method)
     cart = comm.Create_cart(
         problem.rank_dims, periods=[problem.periodic] * problem.ndim
     )
-    ext = problem.subdomain_extent
-    g = problem.ghost
-    spec = problem.stencil
-
-    global_arr = problem.initial_global(seed)
-    owned = global_arr[problem.owned_slices(cart.coords)]
-    ext_shape = tuple(e + 2 * g for e in reversed(ext))
-    own_slc = owned_slices(ext, g)
-    owned_points = problem.points_per_rank
-
+    rank = comm.rank
     counters = {"msgs": 0, "wire": 0, "payload": 0, "maps": 0, "demotions": 0}
     timer = PhaseTimer()  # measured wall-clock of the real kernel path
-    rank = comm.rank
-
-    def crash_check(t: int) -> None:
-        if injector is None:
-            return
-        comm.fabric.heartbeat(rank)
-        if injector.death_due(rank, t):
-            # Permanent node loss, checked before the crash: death wins.
-            # Marking the fabric makes peers targeting this rank fail
-            # fast with the same typed error instead of timing out.
-            comm.fabric.mark_dead(rank)
-            raise RankDeadError(
-                f"rank {rank} died permanently at step {t} (scheduled by"
-                f" fault plan seed {injector.plan.seed})"
-            )
-        if injector.crash_due(rank, t):
-            raise InjectedCrashError(
-                f"rank {rank} crashed at step {t} (scheduled by fault plan"
-                f" seed {injector.plan.seed})"
-            )
-
-    if not info.uses_bricks:
-        period = _resolve_period(exchange_period, g // spec.radius, "element")
-        margins = margins_for_period(period, spec.radius, g)
-        computed_points = [
-            int(np.prod([e + 2 * margins[pos] for e in ext]))
-            for pos in range(period)
-        ]
-        a = np.zeros(ext_shape, dtype=problem.dtype)
-        a[own_slc] = owned
-        b = np.zeros_like(a)
-        arrays = [a, b]
-        start_step = 0
-        resumed_epoch = -1
-        cp = None
+    kind = BrickOperand if info.uses_bricks else ArrayOperand
+    operand = kind(problem, info, profile, page_size, exchange_period)
+    try:
+        hooks: list = []
+        if injector is not None:
+            hooks.append(_CrashHook(comm, injector))
+        resumed_epoch, meta, cp = -1, {}, None
         if ckpt is not None:
-            # Array methods snapshot the whole extended subdomain (ghost
-            # margins included) as one chunk; the margins make mid-cycle
-            # restores of period>1 runs self-contained.
-            key = problem_key(problem, seed, method, 1, 1, period)
-            cp = RankCheckpointer(
-                ckpt, rank, [ChunkSpec("array", 0, 1)], key, 1
+            key = problem_key(
+                problem, seed, method, *operand.slot_layout, operand.period
             )
+            cp = RankCheckpointer(
+                ckpt, rank, operand.chunk_specs, key, operand.slot_layout[1]
+            )
+            ckpt_hook = _CheckpointHook(cp, operand, counters, timer, injector)
+            hooks.append(ckpt_hook)
             if ckpt.resume:
-                epoch = negotiate_epoch(cart, cp.verified_epochs(), allreduce)
-                if epoch >= 0:
-                    meta = cp.restore(
-                        epoch, [("array", arrays[0].reshape(-1).view(np.uint8))]
-                    )
-                    start_step = _ckpt_apply_meta(
-                        meta, counters, timer, period, 0, injector
-                    )
-                    resumed_epoch = epoch
-        exchangers = [
-            _make_exchanger(info, cart, problem, profile, arr, None, page_size)
-            for arr in (a, b)
-        ]
-        # Compiled execution plans: per-step slice derivation, tap-loop
-        # temporaries and kernel dispatch all hoisted out of the loop.
-        plans = (
-            [
-                compile_array_plan(spec, ext, g, margins[pos], problem.dtype)
-                for pos in range(period)
+                resumed_epoch = negotiate_epoch(
+                    cart, cp.verified_epochs(), allreduce
+                )
+                if resumed_epoch >= 0:
+                    meta = ckpt_hook.restore(resumed_epoch)
+        if degrade_enabled and info.base == "memmap":
+            failed = _build_rung(
+                operand, int(meta.get("ladder_level") or 0), cart, profile
+            )
+            _vote_ladder(operand, failed, cart, profile, injector, counters, -1)
+        else:
+            operand.exchangers = [
+                _make_exchanger(info.base, cart, profile, operand, buf)
+                for buf in operand.buffers
             ]
-            if use_plans
-            else None
-        )
+        if resumed_epoch < 0:
+            # Seeded initial state; the global array is dropped once loaded.
+            initial = problem.initial_global(seed)
+            operand.load(initial[problem.owned_slices(cart.coords)])
+            del initial
+        operand.compile(use_plans)
         # Exchange engines: persistent channels (negotiated once, re-fired
         # batched every step) wherever the method and fabric allow, the
         # per-message exchangers otherwise.  Plans off disables the whole
         # run-plan layer, channels included.
-        engines = make_engines(
-            exchangers,
-            plans is not None and not envelope,
-            DEFAULT_PARTITIONS if overlap else 1,
+        engine_args = (use_plans and not envelope,
+                       DEFAULT_PARTITIONS if overlap else 1)
+        engines = make_engines(operand.exchangers, *engine_args)
+        # Phasing engages exactly when every engine is a channel (plans
+        # on, no envelope, not Shift) and composes with every hook.
+        splits = overlap_points = None
+        if overlap and all(isinstance(e, ExchangeChannel) for e in engines):
+            splits = operand.phase_plans()
+            overlap_points = splits[0].cells if splits[0] is not None else 0
+        if operand.ladder_level is not None:
+            hooks.append(_DegradeHook(
+                cart, profile, operand, injector, counters, engine_args
+            ))
+        if envelope:
+            hooks.append(_RetryHook(comm, retry, injector))
+        if _METRICS.enabled:
+            hooks.append(_MetricsHook(rank))
+        rp = RankRunPlan(
+            engines, operand.plans, operand.buffers, operand.period, splits,
+            hooks, rank=rank, method=info.name,
         )
-        plain_path = (
-            plans is not None
-            and injector is None
-            and cp is None
-            and not envelope
-            and not _TRACER.enabled
-            and not _METRICS.enabled
-        )
-        # Phased (interior/surface) execution needs the plain fast path
-        # plus a channel on every slot; anything else -- featured runs,
-        # channel-less methods like Shift -- falls back to the unphased
-        # loop, exactly like featured runs fall off the run plan.
-        phase_split = None
-        if (
-            overlap
-            and plain_path
-            and all(isinstance(e, ExchangeChannel) for e in engines)
-        ):
-            phase_split = compile_array_phase_plans(
-                spec, ext, g, margins[0], problem.dtype
-            )
-        overlap_points = (
-            (phase_split[0].cells if phase_split[0] is not None else 0)
-            if phase_split is not None
-            else None
-        )
-        if plain_path:
-            # Plain fast path: replay the whole run through the compiled
-            # rank plan with minimal per-step Python.
-            rp = RankRunPlan(engines, plans, arrays, period, phase_split)
-            src = rp.run(start_step, timesteps, counters, timer)
-        else:
-            src, dst = 0, 1
-            for t in range(start_step, timesteps):
-                pos = t % period
-                crash_check(t)
-                if cp is not None and ckpt.due(t, start_step):
-                    # Arrays double-buffer with no section structure, so
-                    # every snapshot rewrites the one chunk.
-                    cp.dirty.mark_all()
-                    cp.save(
-                        t,
-                        [("array", arrays[src].reshape(-1).view(np.uint8))],
-                        _ckpt_meta(
-                            t, counters, timer, None, period, 0, injector
-                        ),
-                    )
-                with _TRACER.span("driver.step", rank=rank, step=t):
-                    if pos == 0:
-                        with _TRACER.span("driver.exchange", rank=rank,
-                                          step=t, method=info.name):
-                            res = _exchange_with_retry(
-                                comm, engines[src], t, envelope, retry,
-                                injector,
-                            )
-                        counters["msgs"] += res.messages_sent
-                        counters["wire"] += res.wire_bytes_sent
-                        counters["payload"] += res.payload_bytes_sent
-                        if _METRICS.enabled:
-                            _METRICS.count("driver.exchanges", 1, rank=rank)
-                            _METRICS.count(
-                                "driver.messages", res.messages_sent,
-                                rank=rank,
-                            )
-                            _METRICS.count(
-                                "driver.wire_bytes", res.wire_bytes_sent,
-                                rank=rank,
-                            )
-                    with _TRACER.span("driver.calc", rank=rank, step=t):
-                        with timer.phase("calc"):
-                            if plans is not None:
-                                plans[pos].execute(arrays[src], arrays[dst])
-                            else:
-                                apply_array_stencil(
-                                    arrays[src], arrays[dst], spec, ext, g,
-                                    margin=margins[pos],
-                                )
-                src, dst = dst, src
-        result = arrays[src][own_slc].copy()
-    else:
-        decomp = BrickDecomp(
-            ext, problem.brick_dim, g, problem.layout, problem.dtype
-        )
-        page = page_size or (
-            profile.gpu.page_size if info.is_gpu and profile.gpu else profile.page_size
-        )
-        if info.base == "memmap":
-            sa, asn = decomp.mmap_alloc(page)
-            sb, _ = decomp.mmap_alloc(page)
-        else:
-            sa, asn = decomp.allocate()
-            sb, _ = decomp.allocate()
-        binfo = decomp.brick_info(asn)
-        period = _resolve_period(exchange_period, decomp.width, "brick")
-        cycle_slots = brick_cycle_slots(
-            decomp, asn, spec.radius, depths_for_period(period, decomp.width)
-        )
-        computed_points = [
-            len(cycle_slots[pos]) * decomp.brick_volume
-            for pos in range(period)
-        ]
-        storages = [sa, sb]
-        start_step = 0
-        resumed_epoch = -1
-        restore_level = 0
-        cp = None
-        adjacency_crc = 0
-        ghost_ranges: List[Tuple[int, int]] = []
-        if ckpt is not None:
-            # Section-granular snapshots of the src storage only: the
-            # ghost-expansion invariant (bricks read at cycle position
-            # pos+1 were computed at pos) means the dst buffer never
-            # contributes bytes a resumed run could read.
-            key = problem_key(
-                problem, seed, method, asn.alignment, asn.total_slots, period
-            )
-            cp = RankCheckpointer(
-                ckpt, rank, storage_chunks(asn), key, asn.total_slots
-            )
-            adjacency_crc = zlib.crc32(
-                np.ascontiguousarray(binfo.adjacency).tobytes()
-            )
-            ghost_ranges = [
-                (s.start, s.nbricks)
-                for s in asn.sections
-                if s.kind == "ghost" and s.nbricks
-            ]
-            if ckpt.resume:
-                epoch = negotiate_epoch(cart, cp.verified_epochs(), allreduce)
-                if epoch >= 0:
-                    # Restoring writes through the arena, so MemMap
-                    # stitched views built below alias the restored
-                    # bytes directly (vmem re-attach).
-                    meta = cp.restore(epoch, cp.chunk_views(storages[0]))
-                    start_step = _ckpt_apply_meta(
-                        meta, counters, timer, period, adjacency_crc, injector
-                    )
-                    restore_level = int(meta.get("ladder_level") or 0)
-                    resumed_epoch = epoch
-        ladder_level = None
-        if degrade_enabled and info.base == "memmap":
-            exchangers, ladder_level = _build_ladder(
-                cart, restore_level, profile, decomp, storages, asn, page,
-                injector, counters, -1,
-            )
-        else:
-            exchangers = [
-                _make_exchanger(
-                    info, cart, problem, profile, None, (decomp, st, asn), page
-                )
-                for st in storages
-            ]
-        if resumed_epoch < 0:
-            tmp = np.zeros(ext_shape, dtype=problem.dtype)
-            tmp[own_slc] = owned
-            extended_to_bricks(tmp, decomp, sa, asn)
-        # Compiled execution plans: fused gather tables, persistent
-        # halo/accumulator buffers and the specialized batch kernel,
-        # built once per cycle position.
-        plans = (
-            [
-                compile_brick_plan(
-                    spec, binfo, cycle_slots[pos], 0, problem.dtype
-                )
-                for pos in range(period)
-            ]
-            if use_plans
-            else None
-        )
-        # Exchange engines: persistent channels where possible (see the
-        # array branch).  Rebuilt on every ladder demotion below so the
-        # replacement exchangers get channels too.
-        channels_on = plans is not None and not envelope
-        engines = make_engines(
-            exchangers, channels_on, DEFAULT_PARTITIONS if overlap else 1
-        )
-        plain_path = (
-            plans is not None
-            and injector is None
-            and cp is None
-            and ladder_level is None
-            and not envelope
-            and not _TRACER.enabled
-            and not _METRICS.enabled
-        )
-        # Phased execution: see the array branch.  Interior bricks are
-        # the slots whose adjacency references no ghost-section slot.
-        phase_split = None
-        if (
-            overlap
-            and plain_path
-            and all(isinstance(e, ExchangeChannel) for e in engines)
-        ):
-            phase_split = compile_brick_phase_plans(
-                spec, binfo, asn, cycle_slots[0], 0, problem.dtype
-            )
-        overlap_points = (
-            (
-                len(phase_split[0].slots) * decomp.brick_volume
-                if phase_split[0] is not None
-                else 0
-            )
-            if phase_split is not None
-            else None
-        )
-        if plain_path:
-            # Plain fast path: replay the whole run through the compiled
-            # rank plan with minimal per-step Python.
-            rp = RankRunPlan(engines, plans, storages, period, phase_split)
-            src = rp.run(start_step, timesteps, counters, timer)
-        else:
-            src, dst = 0, 1
-            for t in range(start_step, timesteps):
-                pos = t % period
-                crash_check(t)
-                if cp is not None and ckpt.due(t, start_step):
-                    # Placed after the crash check (a rank never snapshots
-                    # the step it dies on) and before the degradation vote
-                    # (demotion events after the snapshot refire identically
-                    # on replay, so they must not be double-counted).
-                    cp.save(
-                        t,
-                        cp.chunk_views(storages[src]),
-                        _ckpt_meta(
-                            t, counters, timer, ladder_level, period,
-                            adjacency_crc, injector,
-                        ),
-                    )
-                if pos == 0 and ladder_level is not None:
-                    # Degradation vote: a rank whose mapping machinery fails a
-                    # live probe asks for demotion; allreduce-max keeps every
-                    # rank on the same (wire-compatible) engine.
-                    want = 0
-                    if (
-                        injector is not None
-                        and ladder_level + 1 < len(_LADDER)
-                        and injector.degrade_due(rank, t)
-                    ):
-                        with injector.vmem_armed("view_map_chunk"):
-                            if _vmem_probe_failed(storages[src], page):
-                                injector.record("vmem_fault", src=rank, step=t)
-                                want = 1
-                    if int(allreduce(cart, np.asarray(want), np.maximum)):
-                        for ex in exchangers:
-                            close = getattr(ex, "close", None)
-                            if close:
-                                close()
-                        counters["demotions"] += 1
-                        if injector is not None:
-                            injector.record("demoted", src=rank, step=t)
-                        if _METRICS.enabled:
-                            _METRICS.count("faults.demoted", 1, rank=rank)
-                            _METRICS.gauge(
-                                "exchange.ladder_level", ladder_level + 1,
-                                rank=rank,
-                            )
-                        exchangers, ladder_level = _build_ladder(
-                            cart, ladder_level + 1, profile, decomp, storages,
-                            asn, page, injector, counters, t,
-                        )
-                        engines = make_engines(exchangers, channels_on)
-                with _TRACER.span("driver.step", rank=rank, step=t):
-                    if pos == 0:
-                        with _TRACER.span("driver.exchange", rank=rank, step=t,
-                                          method=info.name):
-                            res = _exchange_with_retry(
-                                comm, engines[src], t, envelope, retry,
-                                injector,
-                            )
-                        counters["msgs"] += res.messages_sent
-                        counters["wire"] += res.wire_bytes_sent
-                        counters["payload"] += res.payload_bytes_sent
-                        if _METRICS.enabled:
-                            _METRICS.count("driver.exchanges", 1, rank=rank)
-                            _METRICS.count(
-                                "driver.messages", res.messages_sent, rank=rank
-                            )
-                            _METRICS.count(
-                                "driver.wire_bytes", res.wire_bytes_sent,
-                                rank=rank,
-                            )
-                        if cp is not None:
-                            # Exchange rewrites every ghost section of the
-                            # current src buffer.
-                            for g_start, g_n in ghost_ranges:
-                                cp.dirty.mark_range(g_start, g_n)
-                    with _TRACER.span("driver.calc", rank=rank, step=t):
-                        with timer.phase("calc"):
-                            if plans is not None:
-                                plans[pos].execute(storages[src], storages[dst])
-                            else:
-                                apply_brick_stencil(
-                                    spec, storages[src], storages[dst], binfo,
-                                    cycle_slots[pos],
-                                )
-                    if cp is not None:
-                        cp.dirty.mark_slots(cycle_slots[pos])
-                src, dst = dst, src
+        start_step = int(meta.get("step", 0))
+        src = rp.run(start_step, timesteps, counters, timer)
         if info.base == "memmap":
             # After a demotion the live engine may have no mappings at all.
-            counters["maps"] = getattr(exchangers[0], "mapping_count", 0)
+            counters["maps"] = getattr(operand.exchangers[0], "mapping_count", 0)
             if _METRICS.enabled:
-                _METRICS.gauge(
-                    "memmap.regions", counters["maps"], rank=rank
-                )
-        result = bricks_to_extended(
-            decomp, storages[src], asn, out=conversion_scratch(decomp)
-        )[own_slc].copy()
-        for ex in exchangers:
-            close = getattr(ex, "close", None)
-            if close:
-                close()
-        for st in storages:
-            st.close()
+                _METRICS.gauge("memmap.regions", counters["maps"], rank=rank)
+        result = operand.result(src)
+        final_method = operand.exchangers[0].method
+    except BaseException:
+        # Peers of a failing world may still be copying out of buffers
+        # this rank posted, and closing unmaps MemMap views under them:
+        # the driver runs this teardown once the world is joined.
+        deferred.append(operand.close)
+        raise
+    operand.close()
 
     totals, hidden_s = _modelled_totals(
-        profile, info, problem, page_size, timesteps, period, computed_points,
-        overlap_points,
+        profile, info, problem, page_size, timesteps, operand.period,
+        operand.computed_points, overlap_points,
     )
     return {
         "coords": cart.coords,
@@ -811,12 +758,12 @@ def _rank_fn(
         "totals": totals,
         "measured": timer.breakdown,
         "counters": counters,
-        "period": period,
-        "final_method": exchangers[0].method,
+        "period": operand.period,
+        "final_method": final_method,
         "resumed_epoch": resumed_epoch,
         "ckpt_saves": cp.saves if cp is not None else 0,
         "ckpt_bytes": cp.saved_bytes if cp is not None else 0,
-        "overlap": phase_split is not None,
+        "overlap": splits is not None,
         "hidden_s": hidden_s,
     }
 
@@ -949,10 +896,11 @@ def run_executed(
     start the partitioned persistent channel, compute the interior
     stencil work while messages are in flight, complete the receives,
     then sweep the surface.  Results are bit-identical to the unphased
-    path.  Requires the plain run-plan fast path and a channel-capable
-    method; featured runs (chaos, envelopes, checkpoints, tracing) and
-    channel-less methods fall back to the unphased instrumented loop,
-    reported via ``ExecutedRun.overlap``.
+    path.  Phasing composes with checkpointing, tracing and the
+    degradation ladder; it needs a channel on every engine, so plans-off
+    runs, verified-envelope and chaos runs (per-message protocol) and
+    channel-less methods (``shift``) run unphased, reported via
+    ``ExecutedRun.overlap``.
 
     Chaos-fabric knobs (see README "Robustness"):
 
@@ -1078,6 +1026,12 @@ def run_executed(
     reshapes = 0
     restarts = 0
     dead_total: List[int] = []
+    # Teardowns of ranks that raised, run once their world is joined.
+    deferred: list = []
+
+    def close_deferred() -> None:
+        while deferred:
+            deferred.pop()()
 
     while True:
 
@@ -1102,11 +1056,13 @@ def run_executed(
             retry,
             degrade,
             cur_ckpt,
+            deferred,
         )
         try:
             if cur_ckpt is not None and max_restarts > 0:
 
                 def on_restart(n: int, cause, _ck=cur_ckpt) -> None:
+                    close_deferred()
                     _ck.resume = True
                     if injector is not None:
                         injector.record("restarted", step=-1)
@@ -1151,6 +1107,8 @@ def run_executed(
             )
             dead_total.extend(newly_dead)
             reshapes += 1
+        finally:
+            close_deferred()
 
     global_result = np.empty(
         tuple(reversed(cur_problem.global_extent)), dtype=cur_problem.dtype

@@ -1,40 +1,46 @@
 """Run plans: the executed timestep loop, compiled once and replayed.
 
-The compiled stencil plans (PR 2, :mod:`repro.stencil.plan`) made the
-kernel 5.7x faster, yet the whole-run speedup stayed at ~1x: the flame
-profile of an executed run shows the wall clock going to per-step,
-per-message work in the driver / exchanger / simmpi stack -- thousands of
-lock acquisitions, request objects, re-derived schedules and re-priced
-cost models per run.  This module hoists all of it to per-run time:
+Per-step, per-message work in the driver / exchanger / simmpi stack
+(lock acquisitions, request objects, re-derived schedules) once cost
+more wall clock than the compiled stencil kernels.  This module hoists
+it to per-run time:
 
 * **Exchange channels** (:class:`repro.exchange.base.ExchangeChannel`)
-  flatten each exchanger's message plan into precomputed ``(peer, tag,
-  buffer)`` tuples over persistent buffers -- negotiated once, re-fired
-  every step through the batched fabric calls (one posting call and one
-  receive drain per exchange instead of one per message).
-* **A rank run plan** (:class:`RankRunPlan`) binds, per cycle position,
-  the channel and the compiled stencil plan to preresolved double-buffer
-  slots, and replays the whole run in one tight loop whose per-step
-  Python is: one channel re-fire, one plan execution, one buffer flip.
-  Exchange counters are precomputed constants accumulated arithmetically.
+  flatten each exchanger's message plan into ``(peer, tag, buffer)``
+  tuples over persistent buffers -- negotiated once, re-fired every
+  step through the batched fabric calls.
+* **A rank run plan** (:class:`RankRunPlan`) binds the exchange engines
+  and one stencil plan per cycle position to the two buffers and
+  replays the run: one engine fire, one plan execution, one buffer flip
+  per step.
 
-The plan is replayed only on the *plain* fast path.  Featured runs --
-verified envelopes, fault injection, checkpointing, the degradation
-ladder, or live observability -- keep the instrumented per-step loop in
-:mod:`repro.core.driver` (which still benefits from the channels), so
-those paths run unchanged on top of run plans.  ``REPRO_NO_PLAN=1``
-disables both the stencil plans and the run-plan replay.
+:class:`RankRunPlan` is the only executed step loop: plain, phased,
+checkpointed, chaos, enveloped, degrading and traced runs all replay
+through it.  Features are *step hooks* composed at build time by
+:mod:`repro.core.driver`, objects defining any of
 
-Run plans hold per-rank mutable state (the stencil plans' scratch
-buffers); build one per simulated rank, never share across threads.
+* ``before_step(plan, t, src)`` -- crash check, checkpoint snapshot,
+  degradation vote (a demotion calls :meth:`RankRunPlan.rebind`);
+* ``fire(engine, t) -> ExchangeResult`` -- fires the exchange in place
+  of ``engine.exchange()`` (retry with envelope epochs; at most one);
+* ``after_exchange(t, src, result)``, ``after_calc(t, pos, src)`` --
+  dirty-range marking, metrics.
+
+Hooks run in list order; a plan with no hooks is the plain fast path.
+The ``driver.step`` / ``driver.exchange`` / ``driver.calc`` spans are
+unconditional -- the tracer hands out a null span while disabled -- so
+tracing never selects another loop.  Counters and measured calc seconds
+are charged as the steps run, so hooks reading them mid-run (checkpoint
+meta) see current totals.  Run plans hold per-rank mutable state (the
+stencil plans' scratch buffers); build one per simulated rank.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Optional, Sequence, Tuple
 
 from repro.exchange.base import ExchangeChannel, Exchanger
+from repro.obs import TRACER as _TRACER
 from repro.util.timing import PhaseTimer
 
 __all__ = ["RankRunPlan", "make_engines"]
@@ -49,15 +55,12 @@ DEFAULT_PARTITIONS = 4
 def make_engines(
     exchangers: Sequence[Exchanger], channels: bool, partitions: int = 1
 ) -> list:
-    """The per-buffer exchange engines a run should fire each step.
+    """The per-buffer exchange engines a run fires each step.
 
     With *channels* true, every exchanger that can be replayed as a
-    persistent batch is replaced by its :class:`ExchangeChannel`; the
-    rest (phased schemes like Shift, or any exchanger on a verified
-    fabric) keep their per-step ``exchange()`` entry point.  Either way
-    the returned objects expose the same ``exchange() -> ExchangeResult``
-    surface, so callers fire them interchangeably.  *partitions* is
-    forwarded to the channels for phased (start/complete) use.
+    persistent batch is replaced by its :class:`ExchangeChannel`
+    (negotiated with *partitions* for phased use); the rest -- Shift, or
+    any exchanger on a verified fabric -- keep their ``exchange()``.
     """
     if not channels:
         return list(exchangers)
@@ -70,22 +73,20 @@ class RankRunPlan:
     ``engines[i]`` is the exchange engine bound to double-buffer slot
     ``i`` (fired at cycle position 0 of whichever buffer is current);
     ``plans[pos]`` is the stencil plan for cycle position *pos*;
-    ``buffers`` are the two storage/array operands the plans read and
-    write.  :meth:`run` replays the program with minimal per-step Python
-    and charges measured calc wall-clock in one sum at the end.
+    ``buffers`` are the two operands the plans read and write.  *hooks*
+    are the composed step hooks; *rank* and *method* label the spans.
 
-    With *splits* -- an ``(interior plan, surface plan)`` pair replacing
-    ``plans[0]`` -- the exchange step runs *phased*: ``channel.start()``
-    (pack + release every send partition), interior stencil work while
-    the messages are in flight, ``channel.complete()`` (drain receives,
-    await send consumption, unpack), then the surface sweep that reads
-    the fresh ghost data.  Interior work reads no ghost cells by
-    construction, and interior + surface cover ``plans[0]`` exactly, so
-    phased replay is bit-identical to the unphased one.  Phased plans
-    require every engine to be an :class:`ExchangeChannel`.
+    With *splits* -- an ``(interior, surface)`` plan pair replacing
+    ``plans[0]`` -- each exchange step runs *phased*: ``channel.start()``,
+    the interior sweep while messages are in flight,
+    ``channel.complete()``, then the surface sweep over the fresh ghost
+    data.  Interior work reads no ghost cells and interior + surface
+    cover ``plans[0]`` exactly, so phased replay is bit-identical.  It
+    requires a channel on every slot, hence no ``fire`` hook.
     """
 
-    __slots__ = ("engines", "plans", "buffers", "period", "splits")
+    __slots__ = ("engines", "plans", "buffers", "period", "splits", "hooks",
+                 "rank", "method")
 
     def __init__(
         self,
@@ -94,27 +95,41 @@ class RankRunPlan:
         buffers: Sequence,
         period: int,
         splits: Optional[Tuple] = None,
+        hooks: Sequence = (),
+        rank: Optional[int] = None,
+        method: str = "",
     ) -> None:
-        if len(engines) != len(buffers):
-            raise ValueError("one exchange engine per double-buffer slot")
         if len(plans) != period:
             raise ValueError("one stencil plan per cycle position")
-        if splits is not None:
-            if len(splits) != 2:
-                raise ValueError(
-                    "splits must be an (interior, surface) plan pair"
-                )
-            for eng in engines:
-                if not isinstance(eng, ExchangeChannel):
-                    raise ValueError(
-                        "phased replay requires exchange channels on every"
-                        " double-buffer slot"
-                    )
-        self.engines = list(engines)
+        if splits is not None and len(splits) != 2:
+            raise ValueError("splits must be an (interior, surface) plan pair")
+        self.hooks = tuple(hooks)
+        fires = sum(hasattr(h, "fire") for h in self.hooks)
+        if fires > 1:
+            raise ValueError("at most one step hook may fire the exchange")
+        if fires and splits is not None:
+            raise ValueError("phased replay fires its channels directly")
         self.plans = list(plans)
         self.buffers = list(buffers)
         self.period = int(period)
         self.splits = tuple(splits) if splits is not None else None
+        self.rank = rank
+        self.method = method
+        self.rebind(engines)
+
+    def rebind(self, engines: Sequence) -> None:
+        """Install new per-buffer engines (degradation-ladder demotion)."""
+        engines = list(engines)
+        if len(engines) != len(self.buffers):
+            raise ValueError("one exchange engine per double-buffer slot")
+        if self.splits is not None and not all(
+            isinstance(eng, ExchangeChannel) for eng in engines
+        ):
+            raise ValueError(
+                "phased replay requires exchange channels on every"
+                " double-buffer slot"
+            )
+        self.engines = engines
 
     def run(
         self,
@@ -126,57 +141,63 @@ class RankRunPlan:
         """Replay steps ``[start_step, timesteps)``; returns the final
         source buffer index.
 
-        Accumulates the run's message/byte counters into *counters* and
-        the measured calc seconds into *timer* exactly as the
-        instrumented loop would, just without per-step dict traffic.
-        The replay always starts from buffer 0, matching the driver's
-        loop (checkpoint resumes restore into buffer 0 too, but resumed
-        runs take the instrumented path anyway).
+        Adds each exchange's message/byte counts to *counters* and the
+        measured calc seconds to *timer* as the steps run.  The replay
+        always starts from buffer 0: checkpoint resumes restore into
+        buffer 0 too.
         """
-        engines = self.engines
+        hooks = self.hooks
+        before = [h.before_step for h in hooks if hasattr(h, "before_step")]
+        fire = next((h.fire for h in hooks if hasattr(h, "fire")), None)
+        after_exchange = [
+            h.after_exchange for h in hooks if hasattr(h, "after_exchange")
+        ]
+        after_calc = [h.after_calc for h in hooks if hasattr(h, "after_calc")]
         plans = self.plans
         bufs = self.buffers
         period = self.period
-        splits = self.splits
-        interior, surface = splits if splits is not None else (None, None)
-        perf = time.perf_counter
+        phased = self.splits is not None
+        interior, surface = self.splits if phased else (None, None)
+        span = _TRACER.span
+        rank, method = self.rank, self.method
         src, dst = 0, 1
-        msgs = wire = payload = 0
-        calc_s = 0.0
         for t in range(start_step, timesteps):
+            for hook in before:
+                hook(self, t, src)
             pos = t % period
-            if pos == 0:
-                if splits is not None:
-                    # Phased exchange step: interior taps run while the
-                    # partitioned messages are in flight; the surface
-                    # sweep waits for every receive partition.
-                    eng = engines[src]
-                    eng.start()
-                    if interior is not None:
-                        t0 = perf()
-                        interior.execute(bufs[src], bufs[dst])
-                        calc_s += perf() - t0
-                    res = eng.complete()
-                    if surface is not None:
-                        t0 = perf()
-                        surface.execute(bufs[src], bufs[dst])
-                        calc_s += perf() - t0
-                    msgs += res.messages_sent
-                    wire += res.wire_bytes_sent
-                    payload += res.payload_bytes_sent
-                    src, dst = dst, src
-                    continue
-                res = engines[src].exchange()
-                msgs += res.messages_sent
-                wire += res.wire_bytes_sent
-                payload += res.payload_bytes_sent
             plan = plans[pos]
-            t0 = perf()
-            plan.execute(bufs[src], bufs[dst])
-            calc_s += perf() - t0
+            with span("driver.step", rank=rank, step=t):
+                if pos == 0:
+                    eng = self.engines[src]
+                    if phased:
+                        # Interior taps run while the partitioned messages
+                        # are in flight; the surface sweep waits for every
+                        # receive partition.
+                        with span("driver.exchange", rank=rank, step=t,
+                                  method=method):
+                            eng.start()
+                        if interior is not None:
+                            with span("driver.calc", rank=rank, step=t):
+                                with timer.phase("calc"):
+                                    interior.execute(bufs[src], bufs[dst])
+                        with span("driver.exchange", rank=rank, step=t,
+                                  method=method):
+                            res = eng.complete()
+                        plan = surface
+                    else:
+                        with span("driver.exchange", rank=rank, step=t,
+                                  method=method):
+                            res = eng.exchange() if fire is None else fire(eng, t)
+                    counters["msgs"] += res.messages_sent
+                    counters["wire"] += res.wire_bytes_sent
+                    counters["payload"] += res.payload_bytes_sent
+                    for hook in after_exchange:
+                        hook(t, src, res)
+                if plan is not None:
+                    with span("driver.calc", rank=rank, step=t):
+                        with timer.phase("calc"):
+                            plan.execute(bufs[src], bufs[dst])
+                for hook in after_calc:
+                    hook(t, pos, src)
             src, dst = dst, src
-        counters["msgs"] += msgs
-        counters["wire"] += wire
-        counters["payload"] += payload
-        timer.breakdown.charge("calc", calc_s)
         return src

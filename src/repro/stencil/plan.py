@@ -226,6 +226,7 @@ class BrickStencilPlan:
         self._np_bd = tuple(reversed(bd))
         slots = np.asarray(slots, dtype=np.int64)
         self.slots = slots
+        self.cells = len(slots) * volume  # stencil points per execution
         self.chunks: List[_GatherChunk] = [
             _build_gather_chunk(
                 info, slots[lo : lo + chunk], r, self.field_offset, brick_elems

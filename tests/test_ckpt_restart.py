@@ -171,3 +171,37 @@ class TestResumeSemantics:
         assert store.ranks() == list(range(problem.nranks))
         assert store.latest_consistent(problem.nranks) >= CRASH_STEP
         assert all(row["ok"] for row in store.verify())
+
+
+class TestTeardown:
+    def test_crashed_world_storages_are_closed(self, tmp_path, monkeypatch):
+        # A rank that raises must still release its storages (MemMap
+        # views and memfd arenas): every storage allocated across the
+        # crashed world and the relaunched one is closed exactly once by
+        # the time run_executed returns.
+        from repro.brick.decomp import BrickDecomp
+        from repro.brick.storage import BrickStorage
+
+        allocated, closed = [], []
+        mmap_alloc, close = BrickDecomp.mmap_alloc, BrickStorage.close
+
+        def counting_alloc(self, *args, **kwargs):
+            storage, asn = mmap_alloc(self, *args, **kwargs)
+            allocated.append(id(storage))
+            return storage, asn
+
+        def counting_close(self):
+            closed.append(id(self))
+            close(self)
+
+        monkeypatch.setattr(BrickDecomp, "mmap_alloc", counting_alloc)
+        monkeypatch.setattr(BrickStorage, "close", counting_close)
+        plan = FaultPlan(seed=1, crashes=((1, CRASH_STEP),))
+        run = run_executed(
+            _problem(), "memmap", timesteps=STEPS, seed=0, fault_plan=plan,
+            checkpoint_dir=tmp_path, checkpoint_period=1,
+            fabric_timeout=15.0,
+        )
+        assert run.restarts == 1
+        assert len(allocated) == 2 * 2 * _problem().nranks  # two worlds
+        assert sorted(closed) == sorted(allocated)

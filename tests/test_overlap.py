@@ -54,6 +54,66 @@ class TestPhasedBitExactness:
         assert ph.hidden_comm_s > 0.0
         assert 0.0 <= ph.hidden_comm_fraction <= 1.0
 
+    def test_phased_with_checkpoints_and_cold_resume(
+        self, medium_problem, tmp_path
+    ):
+        base = run_executed(medium_problem, "layout", timesteps=4)
+        ph = run_executed(
+            medium_problem, "layout", timesteps=2, overlap=True,
+            checkpoint_dir=tmp_path, checkpoint_period=1,
+            checkpoint_mode="incr",
+        )
+        assert ph.overlap
+        assert ph.checkpoint_saves == 1
+        resumed = run_executed(
+            medium_problem, "layout", timesteps=4, overlap=True,
+            checkpoint_dir=tmp_path, checkpoint_period=1,
+            checkpoint_mode="incr", resume=True,
+        )
+        assert resumed.overlap
+        assert resumed.resumed_epoch == 1
+        np.testing.assert_array_equal(
+            resumed.global_result, base.global_result
+        )
+        assert resumed.messages_per_rank == base.messages_per_rank
+
+    def test_phased_under_observation(self, medium_problem):
+        from repro import obs
+
+        base = run_executed(medium_problem, "layout", timesteps=3)
+        with obs.observed():
+            ph = run_executed(
+                medium_problem, "layout", timesteps=3, overlap=True
+            )
+            spans = [ev.name for ev in obs.TRACER.events()]
+        assert ph.overlap
+        np.testing.assert_array_equal(ph.global_result, base.global_result)
+        assert spans.count("driver.step") == medium_problem.nranks * 3
+        assert "exchange.start" in spans and "exchange.complete" in spans
+
+    @pytest.mark.parametrize("mmap_limit,final", [(None, "memmap"), (4, "basic")])
+    def test_phased_with_degradation_ladder(
+        self, medium_problem, mmap_limit, final
+    ):
+        # With a vm.max_map_count stand-in too small for the views, the
+        # ladder demotes to basic Layout at setup and the run phases on
+        # the demoted engines.
+        import dataclasses
+
+        from repro.hardware.profiles import generic_host
+
+        profile = generic_host()
+        if mmap_limit is not None:
+            profile = dataclasses.replace(profile, mmap_limit=mmap_limit)
+        base = run_executed(medium_problem, "memmap", timesteps=3)
+        ph = run_executed(
+            medium_problem, "memmap", profile=profile, timesteps=3,
+            overlap=True, degrade=True,
+        )
+        assert ph.overlap
+        assert ph.final_method == final
+        np.testing.assert_array_equal(ph.global_result, base.global_result)
+
     def test_unphased_run_reports_no_overlap(self, medium_problem):
         base = run_executed(medium_problem, "layout", timesteps=2)
         assert not base.overlap

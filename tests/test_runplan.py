@@ -205,6 +205,10 @@ class TestCheckpointComposition:
         np.testing.assert_array_equal(
             resumed.global_result, base.global_result
         )
+        # Counters restored from the snapshot meta plus the resumed
+        # steps' own: the snapshot must have seen current totals.
+        assert resumed.messages_per_rank == base.messages_per_rank
+        assert resumed.wire_bytes_per_rank == base.wire_bytes_per_rank
 
 
 class TestKernelBackends:
