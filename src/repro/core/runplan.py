@@ -8,7 +8,7 @@ it to per-run time:
 * **Exchange channels** (:class:`repro.exchange.base.ExchangeChannel`)
   flatten each exchanger's message plan into ``(peer, tag, buffer)``
   tuples over persistent buffers -- negotiated once, re-fired every
-  step through the batched fabric calls.
+  step as a copy program over the fabric's edge slots.
 * **A rank run plan** (:class:`RankRunPlan`) binds the exchange engines
   and one stencil plan per cycle position to the two buffers and
   replays the run: one engine fire, one plan execution, one buffer flip
@@ -47,7 +47,7 @@ __all__ = ["RankRunPlan", "make_engines"]
 
 #: Default per-message partition count of phased channels.  Any value
 #: works (partitions are equal byte splits released together by
-#: ``pready_all``); a handful keeps per-partition mailbox traffic cheap
+#: ``pready_all``); a handful keeps the per-partition slot traffic cheap
 #: while still exercising genuinely partitioned transfer.
 DEFAULT_PARTITIONS = 4
 

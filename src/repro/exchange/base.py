@@ -22,6 +22,7 @@ from repro.hardware.profiles import MachineProfile
 from repro.obs import METRICS as _METRICS
 from repro.obs import TRACER as _TRACER
 from repro.simmpi.comm import CartComm
+from repro.simmpi.fabric import byte_view
 from repro.util.bitset import BitSet
 from repro.util.timing import TimeBreakdown
 
@@ -115,9 +116,10 @@ class ExchangeChannel:
 
     The run-plan analogue of persistent MPI requests.  An exchanger's
     message plan is flattened, once, into precomputed ``(peer, tag,
-    buffer)`` tuples bound to persistent buffers (storage views for the
-    pack-free schemes, staging buffers for the packing ones), and each
-    step replays it through the batched fabric operations -- one posting
+    byte view)`` tuples over persistent buffers (storage views for the
+    pack-free schemes, staging buffers for the packing ones).  The fabric
+    binds each tuple to its edge slot at negotiation, and each step
+    replays the plan as a copy program over those slots -- one posting
     call, one receive drain, one send sweep -- instead of ``N``
     point-to-point request objects through the per-message chokepoint.
 
@@ -163,17 +165,14 @@ class ExchangeChannel:
             )
         if partitions < 1:
             raise ExchangeConfigError("partitions must be >= 1")
-        for _, _, buf in list(posts) + list(recvs):
-            if not buf.flags.c_contiguous:
-                raise ExchangeConfigError(
-                    "channel buffers must be C-contiguous"
-                )
         self.comm = comm
         self.method = method
         self._fabric = comm.fabric
         self._rank = comm.rank
-        self._posts = list(posts)
-        self._recvs = list(recvs)
+        # Flat byte views (C-contiguous buffers only), made once: the
+        # fabric binds them to its edge slots as they are.
+        self._posts = [(peer, tag, byte_view(buf)) for peer, tag, buf in posts]
+        self._recvs = [(peer, tag, byte_view(buf)) for peer, tag, buf in recvs]
         self._result = result
         self._packed_bytes = int(packed_bytes)
         self._pre = pre
@@ -185,10 +184,10 @@ class ExchangeChannel:
         self._psend = None
         self._precv = None
         self._inflight = False
-        # Register both halves of the byte split with the fabric now, so
-        # a cross-rank disagreement (byte counts or partition bounds)
-        # surfaces at negotiation as a typed SplitMismatchError instead
-        # of a DeadlockError on the first wait.
+        # Register both halves of the byte split with the fabric and bind
+        # the edge slots now, so a cross-rank disagreement (byte counts
+        # or partition bounds) surfaces at negotiation as a typed
+        # SplitMismatchError instead of a DeadlockError on the first wait.
         self._fabric.negotiate_channel(
             self._rank, self._posts, self._recvs, self._partitions
         )

@@ -70,6 +70,8 @@ def run_spmd(
         t.start()
     for t in threads:
         t.join()
+    # The world is joined: no copy can read a bound buffer any more.
+    fab.release_buffers()
     # Prefer the root cause: a rank's own exception, not the secondary
     # BrokenBarrier/Aborted fallout other ranks see once the fabric dies.
     primary = [

@@ -13,8 +13,8 @@ class SimRequest:
     """Handle for one nonblocking operation.
 
     A *send* request completes when the matching receive has copied the
-    data (synchronous-mode semantics); its ``wait`` blocks on the fabric
-    entry's event.  A *recv* request performs the blocking match-and-copy
+    data (synchronous-mode semantics); its ``wait`` sleeps until the
+    receiver sets the fabric entry's done flag.  A *recv* request performs the blocking match-and-copy
     inside ``wait`` (receives are lazy: posting only records intent).
     """
 

@@ -12,6 +12,7 @@ from repro.simmpi.fabric import AbortedError, DeadlockError
 @pytest.fixture
 def fast_timeout(monkeypatch):
     """Shrink the deadlock timeout so failure tests run quickly."""
+    monkeypatch.delenv("REPRO_FABRIC_TIMEOUT", raising=False)
     monkeypatch.setattr(fabric_mod, "_DEADLOCK_TIMEOUT", 0.5)
 
 
@@ -84,7 +85,8 @@ class TestTimeoutConfiguration:
     def test_constructor_argument(self):
         assert SimFabric(2, timeout=3.5).timeout == 3.5
 
-    def test_module_default_when_unset(self):
+    def test_module_default_when_unset(self, monkeypatch):
+        monkeypatch.delenv("REPRO_FABRIC_TIMEOUT", raising=False)
         assert SimFabric(2).timeout == fabric_mod._DEADLOCK_TIMEOUT
 
     def test_monkeypatched_module_default_still_works(self, fast_timeout):
