@@ -91,6 +91,7 @@ def element_permutation(
 
     field_base = fld * decomp.brick_volume
     perm = slots * decomp.brick_elems + field_base + offset
+    perm.flags.writeable = False  # shared by every converter of the decomp
     cache[key] = perm
     return perm
 
@@ -144,16 +145,21 @@ def bricks_to_extended(
         return out
 
 
-def conversion_scratch(decomp: "BrickDecomp", dtype=None) -> np.ndarray:
-    """Reusable extended-shape scratch array, cached on the decomp.
+def conversion_scratch(
+    decomp: "BrickDecomp", dtype=None, owner=None
+) -> np.ndarray:
+    """Reusable extended-shape scratch array, cached on *owner*.
 
-    One array per (decomp, dtype); callers that convert repeatedly (the
-    executed driver, benchmarks) avoid re-allocating the whole extended
-    domain every time.  Contents are whatever the last conversion left --
-    callers own the data discipline, and must not share one decomp's
-    scratch across threads.
+    One array per (owner, dtype); *owner* defaults to the decomp.
+    Callers that convert repeatedly (the executed driver, benchmarks)
+    avoid re-allocating the whole extended domain every time.  Contents
+    are whatever the last conversion left -- callers own the data
+    discipline.  A decomp shared between threads needs one scratch per
+    thread: pass the object that thread owns (the driver passes each
+    rank's operand).
     """
-    cache: Dict[str, np.ndarray] = decomp.__dict__.setdefault(
+    scope = decomp if owner is None else owner
+    cache: Dict[str, np.ndarray] = scope.__dict__.setdefault(
         "_convert_scratch_cache", {}
     )
     dt = np.dtype(dtype) if dtype is not None else decomp.dtype

@@ -319,6 +319,10 @@ class BrickDecomp:
         )
         assert slot_coords.shape[0] == total, (slot_coords.shape, total)
 
+        # Cached and handed to every caller (all ranks of a run share one
+        # decomposition): the tables are read-only from here on.
+        grid_index.flags.writeable = False
+        slot_coords.flags.writeable = False
         interior = next(s for s in sections if s.kind == "interior")
         surface = {s.region: s for s in sections if s.kind == "surface"}
         ghost = {

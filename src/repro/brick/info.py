@@ -104,6 +104,7 @@ class BrickInfo:
         center = direction_index((0,) * ndim)
         slots = np.arange(total)
         adjacency[valid_slot, center] = slots[valid_slot]
+        adjacency.flags.writeable = False  # shared by every plan and rank
         return cls(ndim, decomp.brick_dim, adjacency, decomp.nfields)
 
     def neighbor_slot(self, slot: int, vec: Sequence[int]) -> int:

@@ -28,6 +28,7 @@ from repro.check.geometry import build_rank_geometries
 from repro.check.memory import verify_memory
 from repro.check.report import CheckFailedError, CheckReport
 from repro.check.schedule import verify_schedule
+from repro.core.geometry import RunGeometry
 from repro.core.problem import StencilProblem
 from repro.hardware.profiles import MachineProfile
 
@@ -45,15 +46,18 @@ def run_checks(
     dead_ranks: Iterable[int] = (),
     passes: Sequence[str] = DEFAULT_PASSES,
     strict: bool = False,
+    geometry: Optional[RunGeometry] = None,
 ) -> CheckReport:
     """Statically verify *problem* x *method* ahead of any run.
 
     *partitions* is the channel partition count the run will negotiate
     (phased runs use ``DEFAULT_PARTITIONS``); *dead_ranks* marks ranks
     known lost, so elastic pre-flights can prove the old decomposition
-    unrunnable and the re-bricked one clean.  With *strict* the call
-    raises :class:`CheckFailedError` instead of returning a failed
-    report.
+    unrunnable and the re-bricked one clean.  *geometry* is the run
+    geometry to verify -- ``run_executed(check=...)`` passes the one its
+    ranks will read -- and is built from the arguments when omitted.
+    With *strict* the call raises :class:`CheckFailedError` instead of
+    returning a failed report.
     """
     report = CheckReport()
     report.context = {
@@ -68,7 +72,9 @@ def run_checks(
         )
     geoms = None
     if "schedule" in passes or "memory" in passes:
-        geoms = build_rank_geometries(problem, method, profile, page_size)
+        geoms = build_rank_geometries(
+            problem, method, profile, page_size, geometry
+        )
     if "schedule" in passes:
         report.passes_run.append("schedule")
         verify_schedule(

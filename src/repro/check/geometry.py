@@ -2,11 +2,13 @@
 
 Every executable exchange method can be constructed *plan-only*: no
 storage arena, no wire buffers, no fabric traffic -- just the message
-schedule derived from geometry (see ``Exchanger.message_plan``).  This
-module mirrors the driver's per-rank setup (`_make_exchanger` plus the
-brick decomposition it feeds) closely enough that the verified schedule
-is the executed schedule, while staying cheap enough to run ahead of
-every job.
+schedule derived from geometry (see ``Exchanger.message_plan``).  The
+rank-invariant part comes from the run-geometry builder the driver uses
+(:func:`repro.core.geometry.build_run_geometry`): the same decomposition,
+slot assignment and message tables, bound here to each rank's peers the
+way the driver's ``_make_exchanger`` binds them.  So
+the verified schedule is the executed schedule, while the check stays
+cheap enough to run ahead of every job.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.brick.decomp import BrickDecomp, SlotAssignment
+from repro.core.geometry import RunGeometry, build_run_geometry
 from repro.core.methods import MethodInfo, method_info
 from repro.core.problem import StencilProblem
 from repro.exchange.base import Exchanger, RankMessagePlan
@@ -41,15 +43,17 @@ CHECKABLE_METHODS = (
 
 @dataclass
 class RankGeometry:
-    """One rank's reconstructed exchange geometry, plan-only."""
+    """One rank's reconstructed exchange geometry, plan-only.
+
+    ``run`` is the shared run geometry every rank's plan is bound from
+    (its decomposition and slot assignment for brick schemes).
+    """
 
     rank: int
     cart: CartComm
     exchanger: Exchanger
     plan: RankMessagePlan
-    decomp: Optional[BrickDecomp]  # brick schemes only
-    assignment: Optional[SlotAssignment]  # brick schemes only
-    page_size: Optional[int]  # memmap only
+    run: RunGeometry
 
 
 def _plan_only_exchanger(
@@ -57,42 +61,27 @@ def _plan_only_exchanger(
     cart: CartComm,
     problem: StencilProblem,
     profile: MachineProfile,
-    page_size: int,
-):
+    run: RunGeometry,
+) -> Exchanger:
     """Mirror of the driver's ``_make_exchanger``, with no buffers."""
     ext, g = problem.subdomain_extent, problem.ghost
     if info.base in ("yask", "yask_ol"):
-        ex = PackExchanger(cart, None, ext, g, profile, dtype=problem.dtype)
-        return ex, None, None, None
+        return PackExchanger(cart, None, ext, g, profile, dtype=problem.dtype)
     if info.base == "mpi_types":
-        ex = MPITypesExchanger(
+        return MPITypesExchanger(
             cart, None, ext, g, profile, dtype=problem.dtype
         )
-        return ex, None, None, None
     if info.base == "shift":
-        ex = ShiftExchanger(cart, None, ext, g, profile, dtype=problem.dtype)
-        return ex, None, None, None
-    decomp = BrickDecomp(
-        ext, problem.brick_dim, g, problem.layout, problem.dtype
-    )
+        return ShiftExchanger(cart, None, ext, g, profile, dtype=problem.dtype)
+    args = (cart, run.decomp, None, run.asn, profile)
+    table = run.tables[info.base]
     if info.base == "memmap":
-        asn = decomp.assignment(decomp.alignment_for_page(page_size))
-        ex = MemMapExchanger(cart, decomp, None, asn, profile, page_size)
-        return ex, decomp, asn, page_size
-    asn = decomp.assignment(1)
+        return MemMapExchanger(*args, run.page, table=table)
     if info.base in ("layout", "basic"):
-        ex = LayoutExchanger(
-            cart, decomp, None, asn, profile,
-            merge_runs=(info.base == "layout"),
+        return LayoutExchanger(
+            *args, merge_runs=(info.base == "layout"), table=table
         )
-        return ex, decomp, asn, None
-    if info.base == "brickpack":
-        ex = BrickPackExchanger(cart, decomp, None, asn, profile)
-        return ex, decomp, asn, None
-    raise ExchangeConfigError(
-        f"method {info.name!r} is not statically checkable; checkable"
-        f" methods are {CHECKABLE_METHODS}"
-    )
+    return BrickPackExchanger(*args, table=table)
 
 
 def build_rank_geometries(
@@ -100,12 +89,16 @@ def build_rank_geometries(
     method: str,
     profile: Optional[MachineProfile] = None,
     page_size: Optional[int] = None,
+    geometry: Optional[RunGeometry] = None,
 ) -> List[RankGeometry]:
     """Reconstruct every rank's plan-only geometry for *method*.
 
-    One shared :class:`SimFabric` backs all the Cartesian communicators
-    (nothing is ever posted to it); each rank gets the same plan-only
-    exchanger the driver would build, and its static
+    *geometry* is the run geometry to bind (a run checking itself passes
+    its own); by default it is built here, message tables only -- the
+    memory pass builds the plan tables it checks.  One shared
+    :class:`SimFabric` backs all the Cartesian communicators (nothing is
+    ever posted to it); each rank gets the same plan-only exchanger the
+    driver would build, and its static
     :class:`~repro.exchange.base.RankMessagePlan`.
     """
     if method == "brickpack":
@@ -122,22 +115,15 @@ def build_rank_geometries(
                 f" checkable methods are {CHECKABLE_METHODS}"
             )
     profile = profile or generic_host()
-    page = page_size or (
-        profile.gpu.page_size
-        if info.is_gpu and profile.gpu
-        else profile.page_size
-    )
+    if geometry is None:
+        geometry = build_run_geometry(problem, info, profile, page_size)
     fabric = SimFabric(problem.nranks)
     periods = [problem.periodic] * problem.ndim
     out: List[RankGeometry] = []
     for rank in range(problem.nranks):
         cart = SimComm(fabric, rank).Create_cart(problem.rank_dims, periods)
-        ex, decomp, asn, pg = _plan_only_exchanger(
-            info, cart, problem, profile, page
-        )
-        out.append(
-            RankGeometry(rank, cart, ex, ex.message_plan(), decomp, asn, pg)
-        )
+        ex = _plan_only_exchanger(info, cart, problem, profile, geometry)
+        out.append(RankGeometry(rank, cart, ex, ex.message_plan(), geometry))
     return out
 
 

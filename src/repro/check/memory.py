@@ -37,7 +37,7 @@ from repro.check.geometry import RankGeometry
 from repro.check.report import CheckReport
 from repro.core.problem import StencilProblem
 from repro.stencil.plan import (
-    _build_gather_chunk,
+    gather_tables,
     ghost_slot_mask,
     split_array_region,
     split_brick_slots,
@@ -183,7 +183,7 @@ def check_ranges(
     report: CheckReport,
 ) -> None:
     """Wire-visible storage ranges vs the slot assignment's sections."""
-    asn, decomp = geom.assignment, geom.decomp
+    asn, decomp = geom.run.asn, geom.run.decomp
     if asn is None or decomp is None:
         return
     bb = decomp.brick_bytes
@@ -276,66 +276,68 @@ def verify_memory(
     geoms: Sequence[RankGeometry],
     report: CheckReport,
 ) -> None:
-    """Run every memory check over the reconstructed geometries."""
-    spec = problem.stencil
+    """Run every memory check over the reconstructed geometries.
+
+    Wire ranges are per rank.  The gather tables and the phase split
+    depend only on the run geometry every rank shares, so they are built
+    and checked once (reported against the first rank): the tables of
+    every cycle position, and the interior/surface split of position 0.
+    """
     for geom in geoms:
         check_ranges(geom, report)
-        decomp, asn = geom.decomp, geom.assignment
-        if decomp is None or asn is None:
-            # Array schemes: validate the interior/surface region split
-            # covers the owned box exactly.
-            ext, g, r = (
-                problem.subdomain_extent, problem.ghost, spec.radius,
+    if not geoms:
+        return
+    run, rank = geoms[0].run, geoms[0].rank
+    spec = problem.stencil
+    if run.decomp is None:
+        # Array schemes: validate the interior/surface region split
+        # covers the owned box exactly.
+        ext, g, r = problem.subdomain_extent, problem.ghost, spec.radius
+        interior, surf_boxes = split_array_region(ext, g, 0, r)
+        shape = tuple(e + 2 * g for e in reversed(ext))
+        mask = np.zeros(shape, dtype=np.int32)
+        boxes = ([interior] if interior is not None else []) + list(
+            surf_boxes
+        )
+        for box in boxes:
+            mask[tuple(slice(lo, hi) for lo, hi in box)] += 1
+        owned = tuple(slice(g, g + e) for e in reversed(ext))
+        outside = mask.copy()
+        outside[owned] = 0  # only the ghost shell remains
+        mask = mask[owned]
+        if (outside > 0).any():
+            report.error(
+                PASS, "phase-split-extra",
+                f"rank {rank}: array phase regions touch"
+                f" {int((outside > 0).sum())} cell(s) outside the"
+                " owned box",
+                ranks=(rank,),
             )
-            interior, surf_boxes = split_array_region(ext, g, 0, r)
-            shape = tuple(e + 2 * g for e in reversed(ext))
-            mask = np.zeros(shape, dtype=np.int32)
-            boxes = ([interior] if interior is not None else []) + list(
-                surf_boxes
+        if (mask > 1).any():
+            report.error(
+                PASS, "phase-split-overlap",
+                f"rank {rank}: array phase regions overlap on"
+                f" {int((mask > 1).sum())} cell(s)",
+                ranks=(rank,),
             )
-            for box in boxes:
-                mask[tuple(slice(lo, hi) for lo, hi in box)] += 1
-            owned = tuple(slice(g, g + e) for e in reversed(ext))
-            outside = mask.copy()
-            outside[owned] = 0  # only the ghost shell remains
-            mask = mask[owned]
-            if (outside > 0).any():
-                report.error(
-                    PASS, "phase-split-extra",
-                    f"rank {geom.rank}: array phase regions touch"
-                    f" {int((outside > 0).sum())} cell(s) outside the"
-                    " owned box",
-                    ranks=(geom.rank,),
-                )
-            if (mask > 1).any():
-                report.error(
-                    PASS, "phase-split-overlap",
-                    f"rank {geom.rank}: array phase regions overlap on"
-                    f" {int((mask > 1).sum())} cell(s)",
-                    ranks=(geom.rank,),
-                )
-            if (mask == 0).any():
-                report.error(
-                    PASS, "phase-split-gap",
-                    f"rank {geom.rank}: array phase regions miss"
-                    f" {int((mask == 0).sum())} owned cell(s)",
-                    ranks=(geom.rank,),
-                )
-            continue
-        binfo = decomp.brick_info(asn)
-        slots = decomp.compute_slots(asn)
-        chunks = [
-            _build_gather_chunk(
-                binfo, slots[lo: lo + 512], spec.radius, 0,
-                decomp.brick_elems,
+        if (mask == 0).any():
+            report.error(
+                PASS, "phase-split-gap",
+                f"rank {rank}: array phase regions miss"
+                f" {int((mask == 0).sum())} owned cell(s)",
+                ranks=(rank,),
             )
-            for lo in range(0, len(slots), 512)
-        ]
+        return
+    # Built here with the functions the run geometry builds its plan
+    # tables and phase split with.
+    decomp, asn, binfo = run.decomp, run.asn, run.binfo
+    for slots in run.cycle_slots:
         check_gather_tables(
-            chunks, asn.total_slots, decomp.brick_elems, 0,
-            decomp.brick_volume, report, geom.rank,
+            gather_tables(binfo, slots, spec.radius),
+            asn.total_slots, decomp.brick_elems, 0, decomp.brick_volume,
+            report, rank,
         )
-        interior, surface = split_brick_slots(
-            binfo, ghost_slot_mask(asn), slots
-        )
-        check_phase_split(interior, surface, slots, report, geom.rank)
+    interior, surface = split_brick_slots(
+        binfo, ghost_slot_mask(asn), run.cycle_slots[0]
+    )
+    check_phase_split(interior, surface, run.cycle_slots[0], report, rank)

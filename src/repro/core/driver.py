@@ -9,10 +9,12 @@ figure benches also use), while the run additionally verifies itself: the
 assembled global result must equal the serial periodic reference
 bit-for-bit.
 
-Each rank builds a :class:`RankOperand` (array or brick form) and replays
-it through :class:`~repro.core.runplan.RankRunPlan`, the one step loop;
-run features -- crash check, checkpointing, degradation ladder, wire
-retry, metrics -- are step hooks composed around it.
+The launcher builds one read-only :class:`~repro.core.geometry.RunGeometry`
+per world; each rank binds it into a :class:`RankOperand` (array or
+brick form) holding only what the rank owns, and replays that through
+:class:`~repro.core.runplan.RankRunPlan`, the one step loop; run
+features -- crash check, checkpointing, degradation ladder, wire retry,
+metrics -- are step hooks composed around it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from __future__ import annotations
 import functools
 import itertools
 import time
-import zlib
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import List, Optional, Tuple
@@ -32,12 +33,7 @@ from repro.brick.convert import (
     conversion_scratch,
     extended_to_bricks,
 )
-from repro.brick.decomp import BrickDecomp
-from repro.core.expansion import (
-    brick_cycle_slots,
-    depths_for_period,
-    margins_for_period,
-)
+from repro.core.geometry import RunGeometry, build_run_geometry
 from repro.core.methods import MethodInfo, method_info
 from repro.core.metrics import RankMetrics, RunMetrics
 from repro.core.model import (
@@ -53,11 +49,9 @@ from repro.ckpt import (
     CheckpointConfig,
     CheckpointError,
     CheckpointStore,
-    ChunkSpec,
     RankCheckpointer,
     negotiate_epoch,
     problem_key,
-    storage_chunks,
 )
 from repro.faults.errors import (
     ExchangeIntegrityError,
@@ -81,7 +75,11 @@ from repro.hardware.profiles import MachineProfile, generic_host
 from repro.simmpi.collectives import allreduce
 from repro.simmpi.comm import SimComm
 from repro.simmpi.fabric import SimFabric
-from repro.simmpi.launcher import run_spmd, run_spmd_restartable
+from repro.simmpi.launcher import (
+    RankFailedError,
+    run_spmd,
+    run_spmd_restartable,
+)
 from repro.stencil.brick_kernels import apply_brick_stencil
 from repro.stencil.kernels import apply_array_stencil, owned_slices
 from repro.stencil.plan import (
@@ -135,7 +133,8 @@ class ExecutedRun:
 
 
 def _make_exchanger(base: str, cart, profile: MachineProfile, operand, buf):
-    """The *base* method's exchanger over one of *operand*'s buffers."""
+    """The *base* method's exchanger over one of *operand*'s buffers,
+    bound to the run geometry's message table for *base*."""
     problem = operand.problem
     ext, g = problem.subdomain_extent, problem.ghost
     if base in ("yask", "yask_ol"):
@@ -144,13 +143,16 @@ def _make_exchanger(base: str, cart, profile: MachineProfile, operand, buf):
         return MPITypesExchanger(cart, buf, ext, g, profile)
     if base == "shift":
         return ShiftExchanger(cart, buf, ext, g, profile)
-    args = (cart, operand.decomp, buf, operand.asn, profile)
+    geom = operand.geom
+    args = (cart, geom.decomp, buf, geom.asn, profile)
     if base in ("layout", "basic"):
-        return LayoutExchanger(*args, merge_runs=(base == "layout"))
+        return LayoutExchanger(
+            *args, merge_runs=(base == "layout"), table=geom.tables[base]
+        )
     if base == "memmap":
-        return MemMapExchanger(*args, operand.page)
+        return MemMapExchanger(*args, geom.page, table=geom.tables[base])
     if base == "brickpack":
-        return BrickPackExchanger(*args)
+        return BrickPackExchanger(*args, table=geom.tables[base])
     raise ValueError(f"method {base!r} is model-only and cannot execute")
 
 
@@ -293,68 +295,50 @@ def _modelled_totals(
 class RankOperand:
     """One rank's double-buffered field and everything bound to it.
 
-    Owns the two buffers and the exchangers over them, one stencil plan
-    per cycle position plus the phased (interior, surface) pair, the
-    snapshot chunk views and the slot ranges an exchange (``ghost_ranges``)
-    and a calc (``cycle_slots``) dirty, result extraction and teardown.
-    The array and brick forms differ only in geometry.
+    Reads the rank-invariant geometry -- period, cycle slots, snapshot
+    chunk layout, the ranges an exchange dirties (``ghost_ranges``) --
+    from the shared :class:`~repro.core.geometry.RunGeometry` and owns
+    what the rank writes: the two buffers and the exchangers over them,
+    one stencil plan per cycle position plus the phased (interior,
+    surface) pair, result extraction and teardown.  The array and brick
+    forms differ only in geometry.
     """
 
     ladder_level = None  # degradation-ladder rung; None without a ladder
 
-    def __init__(self, problem: StencilProblem, period: int) -> None:
-        self.problem = problem
-        self.period = period
+    def __init__(self, geom: RunGeometry) -> None:
+        self.geom = geom
+        self.problem = problem = geom.problem
         self.own_slc = owned_slices(problem.subdomain_extent, problem.ghost)
         self.exchangers: list = []
-
-    def extended(self) -> np.ndarray:
-        """A zeroed extended (ghost-padded) subdomain array."""
-        g, ext = self.problem.ghost, self.problem.subdomain_extent
-        shape = tuple(e + 2 * g for e in reversed(ext))
-        return np.zeros(shape, dtype=self.problem.dtype)
 
     def compile(self, use_plans: bool) -> None:
         """One stencil plan per cycle position: the compiled execution
         plan, or with *use_plans* off the generic reference kernel behind
         the same ``execute(src, dst)`` call."""
-        self.plans = [self._step(pos, use_plans) for pos in range(self.period)]
+        self.plans = [self._step(pos, use_plans) for pos in range(self.geom.period)]
 
     def close(self) -> None:
         _close_all(self.exchangers)
 
 
 class ArrayOperand(RankOperand):
-    """Array methods: two extended subdomain arrays.
+    """Array methods: two extended subdomain arrays."""
 
-    The whole extended array, ghost margins included, is one snapshot
-    slot (the margins make mid-cycle restores of period>1 runs
-    self-contained) that every calc rewrites.
-    """
-
-    chunk_specs = (ChunkSpec("array", 0, 1),)
-    slot_layout = (1, 1)  # (alignment, total slots) of the snapshot key
-    adjacency_crc = 0
-    ghost_ranges = ()
-
-    def __init__(self, problem, info, profile, page_size, exchange_period):
-        spec, g = problem.stencil, problem.ghost
-        period = _resolve_period(exchange_period, g // spec.radius, "element")
-        super().__init__(problem, period)
-        self.margins = margins_for_period(period, spec.radius, g)
-        self.computed_points = [
-            int(np.prod([e + 2 * m for e in problem.subdomain_extent]))
-            for m in self.margins
-        ]
-        self.buffers = [self.extended(), self.extended()]
-        self.cycle_slots = [(0,)] * period  # every calc rewrites slot 0
-        self._geometry = (spec, problem.subdomain_extent, g)
+    def __init__(self, geom: RunGeometry) -> None:
+        super().__init__(geom)
+        problem = self.problem
+        shape = tuple(
+            e + 2 * problem.ghost for e in reversed(problem.subdomain_extent)
+        )
+        self.buffers = [np.zeros(shape, dtype=problem.dtype) for _ in range(2)]
+        self._kernel_args = (problem.stencil, problem.subdomain_extent, problem.ghost)
 
     def load(self, owned: np.ndarray) -> None:
         self.buffers[0][self.own_slc] = owned
 
     def _step(self, pos: int, use_plans: bool):
-        args = (*self._geometry, self.margins[pos])
+        args = (*self._kernel_args, self.geom.margins[pos])
         if use_plans:
             return compile_array_plan(*args, self.problem.dtype)
         return SimpleNamespace(
@@ -363,7 +347,7 @@ class ArrayOperand(RankOperand):
 
     def phase_plans(self) -> tuple:
         return compile_array_phase_plans(
-            *self._geometry, self.margins[0], self.problem.dtype
+            *self._kernel_args, self.geom.margins[0], self.problem.dtype
         )
 
     def chunk_views(self, src: int) -> list:
@@ -374,7 +358,7 @@ class ArrayOperand(RankOperand):
 
 
 class BrickOperand(RankOperand):
-    """Brick methods: two brick storages over one slot assignment.
+    """Brick methods: two brick storages over the run's slot assignment.
 
     Snapshots are section-granular and cover the src storage only: the
     ghost-expansion invariant (bricks read at cycle position pos+1 were
@@ -382,50 +366,36 @@ class BrickOperand(RankOperand):
     run could read.
     """
 
-    def __init__(self, problem, info, profile, page_size, exchange_period):
-        decomp = self.decomp = BrickDecomp(
-            problem.subdomain_extent, problem.brick_dim, problem.ghost,
-            problem.layout, problem.dtype,
-        )
-        self.page = page_size or (
-            profile.gpu.page_size if info.is_gpu and profile.gpu else profile.page_size
-        )
-        if info.base == "memmap":
-            alloc = functools.partial(decomp.mmap_alloc, self.page)
+    def __init__(self, geom: RunGeometry) -> None:
+        super().__init__(geom)
+        self.decomp, self.asn, self.page = geom.decomp, geom.asn, geom.page
+        if geom.info.base == "memmap":
+            alloc = functools.partial(self.decomp.mmap_alloc, self.page)
         else:
-            alloc = decomp.allocate
-        (sa, asn), (sb, _) = alloc(), alloc()
-        self.buffers, self.asn = [sa, sb], asn
-        self.binfo = decomp.brick_info(asn)
-        period = _resolve_period(exchange_period, decomp.width, "brick")
-        super().__init__(problem, period)
-        self.cycle_slots = brick_cycle_slots(
-            decomp, asn, problem.stencil.radius,
-            depths_for_period(period, decomp.width),
-        )
-        self.computed_points = [
-            len(slots) * decomp.brick_volume for slots in self.cycle_slots
-        ]
-        self.chunk_specs = storage_chunks(asn)
-        self.slot_layout = (asn.alignment, asn.total_slots)
-        self.adjacency_crc = zlib.crc32(
-            np.ascontiguousarray(self.binfo.adjacency).tobytes()
-        )
-        self.ghost_ranges = [
-            (s.start, s.nbricks) for s in asn.sections if s.kind == "ghost"
-        ]
+            alloc = self.decomp.allocate
+        # Both calls find the geometry's assignment cached on the decomp.
+        self.buffers = [alloc()[0], alloc()[0]]
+
+    def _scratch(self) -> np.ndarray:
+        """This rank's extended-array conversion scratch."""
+        return conversion_scratch(self.decomp, owner=self)
 
     def load(self, owned: np.ndarray) -> None:
-        ext = self.extended()
+        ext = self._scratch()
+        ext.fill(0)
         ext[self.own_slc] = owned
         extended_to_bricks(ext, self.decomp, self.buffers[0], self.asn)
 
     def _step(self, pos: int, use_plans: bool):
-        # Compiled: fused gather tables, persistent halo/accumulator
-        # buffers and the specialized batch kernel.
-        args = (self.problem.stencil, self.binfo, self.cycle_slots[pos])
+        # Compiled: the geometry's fused gather tables, this rank's
+        # persistent halo/accumulator buffers and the batch kernel.
+        geom = self.geom
+        args = (self.problem.stencil, geom.binfo, geom.cycle_slots[pos])
         if use_plans:
-            return compile_brick_plan(*args, 0, self.problem.dtype)
+            return compile_brick_plan(
+                *args, 0, self.problem.dtype, owner=self,
+                tables=geom.gather[pos],
+            )
         spec, binfo, slots = args
         return SimpleNamespace(
             execute=lambda src, dst: apply_brick_stencil(
@@ -435,23 +405,23 @@ class BrickOperand(RankOperand):
 
     def phase_plans(self) -> tuple:
         # Interior bricks are the slots whose adjacency references no
-        # ghost-section slot.
+        # ghost-section slot; the geometry holds the split and its tables.
+        geom = self.geom
         return compile_brick_phase_plans(
-            self.problem.stencil, self.binfo, self.asn, self.cycle_slots[0],
-            0, self.problem.dtype,
+            self.problem.stencil, geom.binfo, self.asn, geom.cycle_slots[0],
+            0, self.problem.dtype, owner=self, phases=geom.phases,
         )
 
     def chunk_views(self, src: int) -> list:
         storage = self.buffers[src]
         return [
             (spec.name, storage.slot_bytes(spec.start_slot, spec.nslots))
-            for spec in self.chunk_specs
+            for spec in self.geom.chunk_specs
         ]
 
     def result(self, src: int) -> np.ndarray:
         return bricks_to_extended(
-            self.decomp, self.buffers[src], self.asn,
-            out=conversion_scratch(self.decomp),
+            self.decomp, self.buffers[src], self.asn, out=self._scratch()
         )[self.own_slc].copy()
 
     def close(self) -> None:
@@ -518,12 +488,12 @@ class _CheckpointHook:
         """
         op = self.operand
         meta = self.cp.restore(epoch, op.chunk_views(0))
-        if int(meta["period"]) != op.period:
+        if int(meta["period"]) != op.geom.period:
             raise CheckpointError(
                 f"snapshot was taken with exchange period {meta['period']},"
-                f" this run uses {op.period}"
+                f" this run uses {op.geom.period}"
             )
-        if int(meta["adjacency_crc"]) != int(op.adjacency_crc):
+        if int(meta["adjacency_crc"]) != int(op.geom.adjacency_crc):
             raise CheckpointError(
                 "snapshot adjacency/layout permutation does not match the"
                 " rebuilt BrickInfo"
@@ -544,18 +514,18 @@ class _CheckpointHook:
             "counters": {k: int(v) for k, v in self.counters.items()},
             "measured": self.timer.breakdown.as_dict(),
             "ladder_level": op.ladder_level,
-            "period": int(op.period),
-            "adjacency_crc": int(op.adjacency_crc),
+            "period": int(op.geom.period),
+            "adjacency_crc": int(op.geom.adjacency_crc),
             "fired_crashes": injector.crashed() if injector is not None else [],
         })
 
     def after_exchange(self, t: int, src: int, res) -> None:
         # An exchange rewrites every ghost section of the src buffer.
-        for start, n in self.operand.ghost_ranges:
+        for start, n in self.operand.geom.ghost_ranges:
             self.cp.dirty.mark_range(start, n)
 
     def after_calc(self, t: int, pos: int, src: int) -> None:
-        self.cp.dirty.mark_slots(self.operand.cycle_slots[pos])
+        self.cp.dirty.mark_slots(self.operand.geom.cycle_slots[pos])
 
 
 class _DegradeHook:
@@ -660,7 +630,13 @@ def _rank_fn(
     degrade_enabled: bool,
     ckpt: Optional[CheckpointConfig],
     deferred: list,
+    geometry: RunGeometry,
 ):
+    """One rank of an executed world.
+
+    *geometry* is the world's shared, read-only :class:`RunGeometry`,
+    built once by the launcher before any rank starts.
+    """
     info = method_info(method)
     cart = comm.Create_cart(
         problem.rank_dims, periods=[problem.periodic] * problem.ndim
@@ -669,7 +645,7 @@ def _rank_fn(
     counters = {"msgs": 0, "wire": 0, "payload": 0, "maps": 0, "demotions": 0}
     timer = PhaseTimer()  # measured wall-clock of the real kernel path
     kind = BrickOperand if info.uses_bricks else ArrayOperand
-    operand = kind(problem, info, profile, page_size, exchange_period)
+    operand = kind(geometry)
     try:
         hooks: list = []
         if injector is not None:
@@ -677,10 +653,10 @@ def _rank_fn(
         resumed_epoch, meta, cp = -1, {}, None
         if ckpt is not None:
             key = problem_key(
-                problem, seed, method, *operand.slot_layout, operand.period
+                problem, seed, method, *geometry.slot_layout, geometry.period
             )
             cp = RankCheckpointer(
-                ckpt, rank, operand.chunk_specs, key, operand.slot_layout[1]
+                ckpt, rank, geometry.chunk_specs, key, geometry.slot_layout[1]
             )
             ckpt_hook = _CheckpointHook(cp, operand, counters, timer, injector)
             hooks.append(ckpt_hook)
@@ -701,8 +677,12 @@ def _rank_fn(
                 for buf in operand.buffers
             ]
         if resumed_epoch < 0:
-            # Seeded initial state; the global array is dropped once loaded.
-            initial = problem.initial_global(seed)
+            # Seeded initial state: this rank's block of the world's shared
+            # field.  A world launched to restore draws none; a rank of it
+            # that finds no snapshot draws its own, dropped once loaded.
+            initial = geometry.initial
+            if initial is None:
+                initial = problem.initial_global(seed)
             operand.load(initial[problem.owned_slices(cart.coords)])
             del initial
         operand.compile(use_plans)
@@ -728,7 +708,7 @@ def _rank_fn(
         if _METRICS.enabled:
             hooks.append(_MetricsHook(rank))
         rp = RankRunPlan(
-            engines, operand.plans, operand.buffers, operand.period, splits,
+            engines, operand.plans, operand.buffers, geometry.period, splits,
             hooks, rank=rank, method=info.name,
         )
         start_step = int(meta.get("step", 0))
@@ -749,8 +729,8 @@ def _rank_fn(
     operand.close()
 
     totals, hidden_s = _modelled_totals(
-        profile, info, problem, page_size, timesteps, operand.period,
-        operand.computed_points, overlap_points,
+        profile, info, problem, page_size, timesteps, geometry.period,
+        geometry.computed_points, overlap_points,
     )
     return {
         "coords": cart.coords,
@@ -758,7 +738,7 @@ def _rank_fn(
         "totals": totals,
         "measured": timer.breakdown,
         "counters": counters,
-        "period": operand.period,
+        "period": geometry.period,
         "final_method": final_method,
         "resumed_epoch": resumed_epoch,
         "ckpt_saves": cp.saves if cp is not None else 0,
@@ -766,25 +746,6 @@ def _rank_fn(
         "overlap": splits is not None,
         "hidden_s": hidden_s,
     }
-
-
-def _resolve_period(requested, available: int, granularity: str) -> int:
-    """Validate/resolve the exchange period against what the ghost
-    width supports at this granularity."""
-    if requested in (None, 1):
-        return 1
-    if requested == "auto":
-        return available
-    period = int(requested)
-    if period < 1:
-        raise ValueError("exchange_period must be >= 1")
-    if period > available:
-        raise ValueError(
-            f"exchange_period {period} exceeds the {available} step(s) the"
-            f" ghost width supports at {granularity} granularity; widen the"
-            " ghost zone (ghost-cell expansion)"
-        )
-    return period
 
 
 def _elastic_reshape(
@@ -966,25 +927,10 @@ def run_executed(
             "'network' is the modelled communication floor; use"
             " repro.core.model.model_timestep for it"
         )
-    if check is not None:
-        if check not in ("strict", "warn"):
-            raise ValueError(
-                f"check={check!r}: expected None, 'strict' or 'warn'"
-            )
-        from repro.check import run_checks
-
-        report = run_checks(
-            problem, method,
-            page_size=page_size,
-            profile=profile,
-            partitions=DEFAULT_PARTITIONS if overlap else 1,
-            passes=("schedule", "memory"),
-            strict=(check == "strict"),
+    if check not in (None, "strict", "warn"):
+        raise ValueError(
+            f"check={check!r}: expected None, 'strict' or 'warn'"
         )
-        if not report.ok:  # only reachable in warn mode
-            import sys as _sys
-
-            print(report.render(), file=_sys.stderr)
     injector = FaultInjector(fault_plan) if fault_plan is not None else None
     envelope = verify_wire or injector is not None
     if envelope and retry is None:
@@ -1021,6 +967,49 @@ def run_executed(
             else 0
         )
 
+    use_plans = plans_enabled(use_plans)
+
+    def world_geometry(
+        prob: StencilProblem, wckpt: Optional[CheckpointConfig]
+    ) -> RunGeometry:
+        """*prob*'s world geometry, built here before its ranks start:
+        the gather tables its compiled (and, when phased, split) plans
+        read, the message table of every scheme its ranks may run -- the
+        whole degradation ladder when *degrade* applies -- and, unless
+        the world is launched to restore from *wckpt*, the initial field.
+
+        A geometry error is the setup error every rank would raise, so
+        it surfaces the way a failed world reports one: as rank 0's.
+        """
+        try:
+            return build_run_geometry(
+                prob, info, profile, page_size, exchange_period,
+                seed=seed if wckpt is None or not wckpt.resume else None,
+                plans=use_plans,
+                phased=overlap and not envelope,
+                schemes=_LADDER if degrade and info.base == "memmap" else (),
+            )
+        except Exception as err:  # noqa: BLE001 - re-raised with its cause
+            raise RankFailedError(f"rank 0 failed: {err!r}") from err
+
+    geometry = world_geometry(problem, ckpt)
+    if check is not None:
+        from repro.check import run_checks
+
+        report = run_checks(
+            problem, method,
+            page_size=page_size,
+            profile=profile,
+            partitions=DEFAULT_PARTITIONS if overlap else 1,
+            passes=("schedule", "memory"),
+            strict=(check == "strict"),
+            geometry=geometry,
+        )
+        if not report.ok:  # only reachable in warn mode
+            import sys as _sys
+
+            print(report.render(), file=_sys.stderr)
+
     cur_problem = problem
     cur_ckpt = ckpt
     reshapes = 0
@@ -1049,7 +1038,7 @@ def run_executed(
             seed,
             page_size,
             exchange_period,
-            plans_enabled(use_plans),
+            use_plans,
             overlap,
             injector,
             envelope,
@@ -1057,6 +1046,7 @@ def run_executed(
             degrade,
             cur_ckpt,
             deferred,
+            geometry,
         )
         try:
             if cur_ckpt is not None and max_restarts > 0:
@@ -1107,6 +1097,7 @@ def run_executed(
             )
             dead_total.extend(newly_dead)
             reshapes += 1
+            geometry = world_geometry(cur_problem, cur_ckpt)
         finally:
             close_deferred()
 

@@ -42,6 +42,7 @@ from repro.ckpt import (
     problem_key,
     storage_chunks,
 )
+from repro.core.geometry import resolve_period
 from repro.core.methods import method_info
 from repro.core.problem import StencilProblem
 from repro.obs import TRACER as _TRACER
@@ -51,29 +52,14 @@ __all__ = ["rebrick", "resolved_period", "snapshot_key", "restore_global"]
 
 
 def resolved_period(problem: StencilProblem, method: str, exchange_period) -> int:
-    """The exchange period the driver would resolve for this run.
-
-    Mirrors ``core.driver._resolve_period`` without importing the driver
-    (the driver imports this package): ``None``/1 exchange every step,
-    ``"auto"`` uses everything the ghost width supports -- brick
-    granularity for brick methods, element granularity otherwise.
-    """
-    info = method_info(method)
-    if info.uses_bricks:
+    """The exchange period the driver would resolve for this run:
+    :func:`~repro.core.geometry.resolve_period` at brick granularity for
+    brick methods, element granularity otherwise."""
+    if method_info(method).uses_bricks:
         available = problem.ghost // problem.brick_dim[0]
-    else:
-        available = problem.ghost // problem.stencil.radius
-    if exchange_period in (None, 1):
-        return 1
-    if exchange_period == "auto":
-        return available
-    period = int(exchange_period)
-    if not 1 <= period <= available:
-        raise ValueError(
-            f"exchange_period {period} outside what ghost width"
-            f" {problem.ghost} supports (max {available})"
-        )
-    return period
+        return resolve_period(exchange_period, available, "brick")
+    available = problem.ghost // problem.stencil.radius
+    return resolve_period(exchange_period, available, "element")
 
 
 def _brick_layout(problem: StencilProblem, method: str, page: Optional[int]):

@@ -31,7 +31,9 @@ __all__ = [
     "ExchangeChannel",
     "ExchangeResult",
     "PlannedMessage",
+    "MessageTable",
     "RankMessagePlan",
+    "bind_neighbors",
     "exchange_tag",
 ]
 
@@ -43,6 +45,58 @@ def exchange_tag(slab_dir_index: int, run: int) -> int:
     if not 0 <= run < _MAX_RUNS_PER_NEIGHBOR:
         raise ExchangeConfigError(f"run index {run} out of range")
     return slab_dir_index * _MAX_RUNS_PER_NEIGHBOR + run
+
+
+@dataclass(frozen=True)
+class MessageTable:
+    """A brick scheme's rank-free message table, tagged with what it was
+    built for.
+
+    ``entries`` are the scheme's messages by neighbor direction (their
+    shape is the scheme's own); they depend on the decomposition, the
+    storage's slot ``alignment`` and, for MemMap, the ``page_size``.  An
+    exchanger handed a shared table checks the tag against its own
+    arguments (:meth:`entries_for`), so a table built for other storage
+    never drives the wrong slot runs.
+    """
+
+    scheme: str
+    alignment: int
+    entries: tuple
+    page_size: Optional[int] = None
+
+    def entries_for(
+        self, scheme: str, alignment: int, page_size: Optional[int] = None
+    ) -> tuple:
+        """``entries``, once the table is known to be built for *scheme*
+        over *alignment*-padded storage (and *page_size* pages)."""
+        built = (self.scheme, self.alignment, self.page_size)
+        if built != (scheme, alignment, page_size):
+            raise ExchangeConfigError(
+                f"message table built for (scheme, alignment, page size)"
+                f" {built} cannot drive a {scheme} exchanger over"
+                f" {(scheme, alignment, page_size)}"
+            )
+        return self.entries
+
+
+def bind_neighbors(comm: CartComm, ndim: int, entries) -> list:
+    """``(peer rank, entry)`` for each entry of a rank-free message table.
+
+    The brick schemes describe their messages once per run geometry, by
+    neighbor *direction* (each entry's ``neighbor`` BitSet); a rank binds
+    that table to its peers here.  Entries whose neighbor lies off a
+    non-periodic boundary have no partner and drop out.
+    """
+    peers: Dict[BitSet, Optional[int]] = {}
+    out = []
+    for entry in entries:
+        nb = entry.neighbor
+        if nb not in peers:
+            peers[nb] = comm.neighbor_rank(nb.to_vector(ndim))
+        if peers[nb] is not None:
+            out.append((peers[nb], entry))
+    return out
 
 
 @dataclass(frozen=True)

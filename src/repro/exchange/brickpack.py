@@ -16,19 +16,22 @@ the pack-free schemes eliminate.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.brick.decomp import BrickDecomp, SlotAssignment
+from repro.brick.decomp import BrickDecomp, Section, SlotAssignment
 from repro.brick.info import direction_index
 from repro.brick.storage import BrickStorage
 from repro.exchange.base import (
     ExchangeChannel,
     ExchangeResult,
     Exchanger,
+    MessageTable,
     PlannedMessage,
     RankMessagePlan,
+    bind_neighbors,
     exchange_tag,
 )
 from repro.exchange.schedule import MessageSpec
@@ -38,13 +41,92 @@ from repro.layout.messages import message_runs
 from repro.obs import METRICS as _METRICS
 from repro.obs import TRACER as _TRACER
 from repro.simmpi.comm import CartComm
+from repro.util.bitset import BitSet
 from repro.util.timing import TimeBreakdown
 
-__all__ = ["BrickPackExchanger"]
+__all__ = ["BrickPackExchanger", "PackedNeighbor", "brickpack_message_table"]
+
+
+@dataclass(frozen=True)
+class PackedNeighbor:
+    """Rank-free staged message pair for the neighbor ``neighbor``: the
+    surface sections packed into the send, the ghost sections the
+    receive unpacks into, both in layout order."""
+
+    neighbor: BitSet
+    send_tag: int
+    recv_tag: int
+    send_secs: Tuple[Section, ...]
+    recv_secs: Tuple[Section, ...]
+    spec: MessageSpec
+
+    @property
+    def nbricks(self) -> int:
+        return sum(s.nbricks for s in self.send_secs)
+
+
+def brickpack_message_table(
+    decomp: BrickDecomp, assignment: SlotAssignment
+) -> MessageTable:
+    """The BrickPack scheme's table: one :class:`PackedNeighbor` entry per
+    neighbor direction with traffic.
+
+    Pure geometry: every rank of a run shares one table and binds each
+    direction to its own peer.
+    """
+    ndim = decomp.ndim
+    layout = decomp.layout
+    be = decomp.brick_elems
+    table = []
+    for neighbor in layout:
+        # Surface sections bound for this neighbor, in layout order -- the
+        # same payload order as the pack-free schemes, so the peer's
+        # unpack order matches regardless of its own method.
+        send_secs = []
+        for start, length in message_runs(layout, neighbor):
+            for i in range(start, start + length):
+                sec = assignment.surface[layout[i]]
+                if sec.nbricks:
+                    send_secs.append(sec)
+        opp = neighbor.opposite()
+        recv_secs = []
+        for start, length in message_runs(layout, opp):
+            for i in range(start, start + length):
+                sec = assignment.ghost[(neighbor, layout[i])]
+                if sec.nbricks:
+                    recv_secs.append(sec)
+        n_send = sum(s.nbricks for s in send_secs)
+        n_recv = sum(s.nbricks for s in recv_secs)
+        if n_send != n_recv:
+            raise AssertionError(
+                f"send/recv brick count mismatch for {neighbor.notation()}:"
+                f" {n_send} vs {n_recv}"
+            )
+        if n_send == 0:
+            continue
+        payload = n_send * decomp.brick_bytes
+        spec = MessageSpec(
+            neighbor,
+            payload_bytes=payload,
+            wire_bytes=payload,
+            nsegments=len(send_secs),
+            run_elems=n_send * be // len(send_secs),
+        )
+        send_tag = exchange_tag(direction_index(opp.to_vector(ndim)), 0)
+        recv_tag = exchange_tag(direction_index(neighbor.to_vector(ndim)), 0)
+        entry = PackedNeighbor(
+            neighbor, send_tag, recv_tag, tuple(send_secs), tuple(recv_secs), spec
+        )
+        table.append(entry)
+    return MessageTable("brickpack", assignment.alignment, tuple(table))
 
 
 class BrickPackExchanger(Exchanger):
-    """One staged message per neighbor over brick slot sections."""
+    """One staged message per neighbor over brick slot sections.
+
+    *table* is the run's shared :func:`brickpack_message_table` for this
+    decomposition and assignment; built here when omitted.
+    """
 
     method = "brickpack"
 
@@ -55,6 +137,7 @@ class BrickPackExchanger(Exchanger):
         storage: Optional[BrickStorage],  # None = plan-only
         assignment: Optional[SlotAssignment] = None,
         profile: Optional[MachineProfile] = None,
+        table: Optional[MessageTable] = None,
     ) -> None:
         from repro.hardware.profiles import generic_host
 
@@ -62,78 +145,29 @@ class BrickPackExchanger(Exchanger):
         self.decomp = decomp
         self.storage = storage
         self.assignment = assignment or decomp.assignment(1)
-        ndim = decomp.ndim
+        if table is None:
+            table = brickpack_message_table(decomp, self.assignment)
         dtype = storage.dtype if storage is not None else decomp.dtype
         be = decomp.brick_bytes // dtype.itemsize  # elems per brick
 
-        self._plan: List[dict] = []
-        for neighbor in decomp.layout:
-            vec = neighbor.to_vector(ndim)
-            rank = comm.neighbor_rank(vec)
-            if rank is None:
-                continue  # non-periodic boundary: no partner
-            # Surface sections bound for this neighbor, in layout order --
-            # the same payload order as the pack-free schemes, so the
-            # peer's unpack order matches regardless of its own method.
-            send_secs = []
-            for start, length in message_runs(decomp.layout, neighbor):
-                for i in range(start, start + length):
-                    sec = self.assignment.surface[decomp.layout[i]]
-                    if sec.nbricks:
-                        send_secs.append(sec)
-            opp = neighbor.opposite()
-            recv_secs = []
-            for start, length in message_runs(decomp.layout, opp):
-                for i in range(start, start + length):
-                    sec = self.assignment.ghost[(neighbor, decomp.layout[i])]
-                    if sec.nbricks:
-                        recv_secs.append(sec)
-            n_send = sum(s.nbricks for s in send_secs)
-            n_recv = sum(s.nbricks for s in recv_secs)
-            if n_send != n_recv:
-                raise AssertionError(
-                    f"send/recv brick count mismatch for {neighbor.notation()}:"
-                    f" {n_send} vs {n_recv}"
-                )
-            if n_send == 0:
-                continue
-            payload = n_send * decomp.brick_bytes
-            self._plan.append(
-                {
-                    "rank": rank,
-                    "send_tag": exchange_tag(
-                        direction_index(opp.to_vector(ndim)), 0
-                    ),
-                    "recv_tag": exchange_tag(direction_index(vec), 0),
-                    "send_secs": send_secs,
-                    "recv_secs": recv_secs,
-                    # Persistent staging, reused every timestep.
-                    "send_buf": (
-                        np.empty(n_send * be, dtype=dtype)
-                        if storage is not None
-                        else None
-                    ),
-                    "recv_buf": (
-                        np.empty(n_recv * be, dtype=dtype)
-                        if storage is not None
-                        else None
-                    ),
-                    "spec": MessageSpec(
-                        neighbor,
-                        payload_bytes=payload,
-                        wire_bytes=payload,
-                        nsegments=len(send_secs),
-                        run_elems=n_send * be // len(send_secs),
-                    ),
-                }
-            )
+        # (peer rank, message, send staging, recv staging); the staging
+        # buffers are persistent, reused every timestep.
+        self._plan = []
+        entries = table.entries_for(self.method, self.assignment.alignment)
+        for rank, m in bind_neighbors(comm, decomp.ndim, entries):
+            n = m.nbricks * be
+            if storage is None:
+                bufs = (None, None)
+            else:
+                bufs = (np.empty(n, dtype=dtype), np.empty(n, dtype=dtype))
+            self._plan.append((rank, m, *bufs))
 
     # ------------------------------------------------------------------
     def send_specs(self) -> List[MessageSpec]:
-        return [p["spec"] for p in self._plan]
+        return [m.spec for _, m, _, _ in self._plan]
 
     def recv_specs(self) -> List[MessageSpec]:
-        return [p["spec"] for p in self._plan]
+        return self.send_specs()
 
     def message_plan(self) -> RankMessagePlan:
         """Static per-rank schedule with storage byte ranges per section.
@@ -143,28 +177,15 @@ class BrickPackExchanger(Exchanger):
         though the wire message itself is a staged contiguous buffer.
         """
         bb = self.decomp.brick_bytes
-        sends, recvs = [], []
-        for p in self._plan:
-            sends.append(
-                PlannedMessage(
-                    p["rank"],
-                    p["send_tag"],
-                    sum(s.nbricks for s in p["send_secs"]) * bb,
-                    ranges=tuple(
-                        (s.start * bb, s.nbricks * bb) for s in p["send_secs"]
-                    ),
-                )
+
+        def planned(peer, tag, secs) -> PlannedMessage:
+            return PlannedMessage(
+                peer, tag, sum(s.nbricks for s in secs) * bb,
+                ranges=tuple((s.start * bb, s.nbricks * bb) for s in secs),
             )
-            recvs.append(
-                PlannedMessage(
-                    p["rank"],
-                    p["recv_tag"],
-                    sum(s.nbricks for s in p["recv_secs"]) * bb,
-                    ranges=tuple(
-                        (s.start * bb, s.nbricks * bb) for s in p["recv_secs"]
-                    ),
-                )
-            )
+
+        sends = [planned(r, m.send_tag, m.send_secs) for r, m, _, _ in self._plan]
+        recvs = [planned(r, m.recv_tag, m.recv_secs) for r, m, _, _ in self._plan]
         return RankMessagePlan(
             self.comm.rank, self.method, tuple(sends), tuple(recvs)
         )
@@ -181,9 +202,9 @@ class BrickPackExchanger(Exchanger):
         """Gather every neighbor's surface sections into its staging buffer."""
         st = self._require_storage()
         be = st.brick_elems
-        for p in self._plan:
-            buf, pos = p["send_buf"], 0
-            for sec in p["send_secs"]:
+        for _, m, buf, _ in self._plan:
+            pos = 0
+            for sec in m.send_secs:
                 n = sec.nbricks * be
                 buf[pos : pos + n] = st.slot_view(sec.start, sec.nbricks)
                 pos += n
@@ -192,9 +213,9 @@ class BrickPackExchanger(Exchanger):
         """Scatter every received payload into its ghost sections."""
         st = self._require_storage()
         be = st.brick_elems
-        for p in self._plan:
-            buf, pos = p["recv_buf"], 0
-            for sec in p["recv_secs"]:
+        for _, m, _, buf in self._plan:
+            pos = 0
+            for sec in m.recv_secs:
                 n = sec.nbricks * be
                 st.slot_view(sec.start, sec.nbricks)[:] = buf[pos : pos + n]
                 pos += n
@@ -204,25 +225,19 @@ class BrickPackExchanger(Exchanger):
         rank = self.comm.rank
         reqs = []
         with _TRACER.span("exchange.post", rank=rank, method=self.method):
-            for p in self._plan:
-                reqs.append(
-                    self.comm.Irecv(p["recv_buf"], p["rank"], p["recv_tag"])
-                )
+            for peer, m, _, rbuf in self._plan:
+                reqs.append(self.comm.Irecv(rbuf, peer, m.recv_tag))
         with _TRACER.span("exchange.pack", rank=rank, method=self.method):
             self._pack_sends()
-            for p in self._plan:
-                reqs.append(
-                    self.comm.Isend(p["send_buf"], p["rank"], p["send_tag"])
-                )
+            for peer, m, sbuf, _ in self._plan:
+                reqs.append(self.comm.Isend(sbuf, peer, m.send_tag))
         with _TRACER.span("exchange.wait", rank=rank, method=self.method):
             self.comm.Waitall(reqs)
         with _TRACER.span("exchange.unpack", rank=rank, method=self.method):
             self._unpack_recvs()
         if _METRICS.enabled:
-            staged = sum(
-                p["send_buf"].nbytes + p["recv_buf"].nbytes for p in self._plan
-            )
-            _METRICS.count("exchange.bytes_packed", staged, rank=rank)
+            _METRICS.count("exchange.bytes_packed", self._staged_bytes(),
+                           rank=rank)
             _METRICS.count("exchange.messages", len(self._plan), rank=rank)
         return self._model_result()
 
@@ -242,18 +257,19 @@ class BrickPackExchanger(Exchanger):
             wire_bytes_sent=sum(m.wire_bytes for m in specs),
         )
 
+    def _staged_bytes(self) -> int:
+        return sum(sb.nbytes + rb.nbytes for _, _, sb, rb in self._plan)
+
     def _build_channel(self, partitions):
         self._require_storage()
         plan = self._plan
         return ExchangeChannel(
             self.comm,
             self.method,
-            posts=[(p["rank"], p["send_tag"], p["send_buf"]) for p in plan],
-            recvs=[(p["rank"], p["recv_tag"], p["recv_buf"]) for p in plan],
+            posts=[(peer, m.send_tag, sb) for peer, m, sb, _ in plan],
+            recvs=[(peer, m.recv_tag, rb) for peer, m, _, rb in plan],
             result=self._model_result(),
-            packed_bytes=sum(
-                p["send_buf"].nbytes + p["recv_buf"].nbytes for p in plan
-            ),
+            packed_bytes=self._staged_bytes(),
             pre=self._pack_sends,
             post=self._unpack_recvs,
             partitions=partitions,

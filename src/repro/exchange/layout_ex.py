@@ -10,9 +10,8 @@ messages (42 instead of 26 in 3-D under the optimal ``surface3d`` order).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from dataclasses import dataclass
+from typing import List, Optional
 
 from repro.brick.decomp import BrickDecomp, SlotAssignment
 from repro.brick.info import direction_index
@@ -21,8 +20,10 @@ from repro.exchange.base import (
     ExchangeChannel,
     ExchangeResult,
     Exchanger,
+    MessageTable,
     PlannedMessage,
     RankMessagePlan,
+    bind_neighbors,
     exchange_tag,
 )
 from repro.faults.errors import ExchangeConfigError
@@ -35,11 +36,107 @@ from repro.simmpi.comm import CartComm
 from repro.util.bitset import BitSet
 from repro.util.timing import TimeBreakdown
 
-__all__ = ["LayoutExchanger"]
+__all__ = ["LayoutExchanger", "SlotMessage", "layout_message_table"]
+
+
+@dataclass(frozen=True)
+class SlotMessage:
+    """One message of a rank-free table: a contiguous slot run.
+
+    ``neighbor`` is the direction of the peer the run goes to (sends) or
+    comes from (receives); a rank binds it to a peer rank.
+    """
+
+    neighbor: BitSet
+    tag: int
+    slot_start: int
+    nbricks: int
+    spec: MessageSpec
+
+
+def _require_unpadded(merge_runs: bool, assignment: SlotAssignment) -> None:
+    if merge_runs and assignment.alignment != 1:
+        # Padding slots between sections break *run* contiguity, so
+        # merged messages pair with plain allocation (paper Figure 7
+        # left column).  Basic mode (one message per region) only needs
+        # each section contiguous, which holds at any alignment -- that
+        # is what lets a degraded MemMap rank fall back to Layout
+        # exchange over its padded storage.
+        raise ExchangeConfigError(
+            "LayoutExchanger with merge_runs requires unpadded storage"
+            " (alignment 1); use MemMapExchanger for mmap_alloc"
+            " storage, or merge_runs=False"
+        )
+
+
+def layout_message_table(
+    decomp: BrickDecomp, assignment: SlotAssignment, merge_runs: bool = True
+) -> MessageTable:
+    """The Layout (or, unmerged, Basic) scheme's table; its entries are
+    ``(sends, recvs)``, tuples of :class:`SlotMessage`.
+
+    Pure geometry: every rank of a run shares one table and binds each
+    message's direction to its own peers.
+    """
+    _require_unpadded(merge_runs, assignment)
+    ndim = decomp.ndim
+    bb = decomp.brick_bytes
+    layout = decomp.layout
+
+    def groups(target: BitSet) -> List[List[int]]:
+        """Region-position groups, each becoming one message."""
+        if merge_runs:
+            return [
+                list(range(start, start + length))
+                for start, length in message_runs(layout, target)
+            ]
+        # One message per (region, neighbor) pair: the paper's Basic
+        # scheme (5^D - 3^D sends), used as the Fig. 4 baseline.
+        return [
+            [i] for i, region in enumerate(layout) if target.issubset(region)
+        ]
+
+    sends: List[SlotMessage] = []
+    recvs: List[SlotMessage] = []
+    for neighbor in layout:
+        vec = neighbor.to_vector(ndim)
+        # Sends: groups of regions (supersets of neighbor).
+        for k, grp in enumerate(groups(neighbor)):
+            secs = [assignment.surface[layout[i]] for i in grp]
+            nb = sum(s.nbricks for s in secs)
+            if nb == 0:
+                continue
+            assert secs[-1].end - secs[0].start == nb, "run is not contiguous"
+            tag = exchange_tag(
+                direction_index(neighbor.opposite().to_vector(ndim)), k
+            )
+            spec = MessageSpec(neighbor, nb * bb, nb * bb, 1, nb * bb // 8)
+            sends.append(SlotMessage(neighbor, tag, secs[0].start, nb, spec))
+        # Receives: our ghost slab g(neighbor), partitioned exactly as the
+        # sender partitioned its sends (their groups for *their* neighbor
+        # -neighbor).
+        for k, grp in enumerate(groups(neighbor.opposite())):
+            secs = [assignment.ghost[(neighbor, layout[i])] for i in grp]
+            nb = sum(s.nbricks for s in secs)
+            if nb == 0:
+                continue
+            assert secs[-1].end - secs[0].start == nb, "ghost run not contiguous"
+            tag = exchange_tag(direction_index(vec), k)
+            spec = MessageSpec(neighbor, nb * bb, nb * bb)
+            recvs.append(SlotMessage(neighbor, tag, secs[0].start, nb, spec))
+    return MessageTable(
+        "layout" if merge_runs else "basic",
+        assignment.alignment,
+        (tuple(sends), tuple(recvs)),
+    )
 
 
 class LayoutExchanger(Exchanger):
-    """Pack-free brick exchange using contiguous region runs."""
+    """Pack-free brick exchange using contiguous region runs.
+
+    *table* is the run's shared :func:`layout_message_table` for this
+    decomposition, assignment and *merge_runs*; built here when omitted.
+    """
 
     method = "layout"
 
@@ -51,6 +148,7 @@ class LayoutExchanger(Exchanger):
         assignment: Optional[SlotAssignment] = None,
         profile: Optional[MachineProfile] = None,
         merge_runs: bool = True,
+        table: Optional[MessageTable] = None,
     ) -> None:
         from repro.hardware.profiles import generic_host
 
@@ -59,113 +157,42 @@ class LayoutExchanger(Exchanger):
         self.storage = storage  # None = plan-only (static verification)
         self.merge_runs = bool(merge_runs)
         if not self.merge_runs:
-            # One message per (region, neighbor) pair: the paper's Basic
-            # scheme (5^D - 3^D sends), used as the Fig. 4 baseline.
             self.method = "basic"
         self.assignment = assignment or decomp.assignment(1)
-        if self.merge_runs and self.assignment.alignment != 1:
-            # Padding slots between sections break *run* contiguity, so
-            # merged messages pair with plain allocation (paper Figure 7
-            # left column).  Basic mode (one message per region) only
-            # needs each section contiguous, which holds at any
-            # alignment -- that is what lets a degraded MemMap rank fall
-            # back to Layout exchange over its padded storage.
-            raise ExchangeConfigError(
-                "LayoutExchanger with merge_runs requires unpadded storage"
-                " (alignment 1); use MemMapExchanger for mmap_alloc"
-                " storage, or merge_runs=False"
+        _require_unpadded(self.merge_runs, self.assignment)
+        if table is None:
+            table = layout_message_table(
+                decomp, self.assignment, self.merge_runs
             )
-        ndim = decomp.ndim
-        bb = decomp.brick_bytes
-
-        def groups(target: BitSet) -> List[List[int]]:
-            """Region-position groups, each becoming one message."""
-            if self.merge_runs:
-                return [
-                    list(range(start, start + length))
-                    for start, length in message_runs(decomp.layout, target)
-                ]
-            return [
-                [i]
-                for i, region in enumerate(decomp.layout)
-                if target.issubset(region)
-            ]
-
-        self._sends: List[dict] = []
-        self._recvs: List[dict] = []
-        for neighbor in decomp.layout:
-            vec = neighbor.to_vector(ndim)
-            rank = comm.neighbor_rank(vec)
-            if rank is None:
-                continue  # non-periodic boundary: no partner, no messages
-            # Sends: groups of regions (supersets of neighbor).
-            for k, grp in enumerate(groups(neighbor)):
-                secs = [self.assignment.surface[decomp.layout[i]] for i in grp]
-                nb = sum(s.nbricks for s in secs)
-                if nb == 0:
-                    continue
-                assert secs[-1].end - secs[0].start == nb, "run is not contiguous"
-                self._sends.append(
-                    {
-                        "rank": rank,
-                        "tag": exchange_tag(
-                            direction_index(neighbor.opposite().to_vector(ndim)), k
-                        ),
-                        "slot_start": secs[0].start,
-                        "nbricks": nb,
-                        "spec": MessageSpec(
-                            neighbor, nb * bb, nb * bb, 1, nb * bb // 8
-                        ),
-                    }
-                )
-            # Receives: our ghost slab g(neighbor), partitioned exactly as
-            # the sender partitioned its sends (their groups for *their*
-            # neighbor -neighbor).
-            opp = neighbor.opposite()
-            for k, grp in enumerate(groups(opp)):
-                secs = [
-                    self.assignment.ghost[(neighbor, decomp.layout[i])] for i in grp
-                ]
-                nb = sum(s.nbricks for s in secs)
-                if nb == 0:
-                    continue
-                assert secs[-1].end - secs[0].start == nb, "ghost run not contiguous"
-                self._recvs.append(
-                    {
-                        "rank": rank,
-                        "tag": exchange_tag(direction_index(vec), k),
-                        "slot_start": secs[0].start,
-                        "nbricks": nb,
-                        "spec": MessageSpec(neighbor, nb * bb, nb * bb),
-                    }
-                )
+        sends, recvs = table.entries_for(self.method, self.assignment.alignment)
+        # (peer rank, message) pairs of this rank.
+        self._sends = bind_neighbors(comm, decomp.ndim, sends)
+        self._recvs = bind_neighbors(comm, decomp.ndim, recvs)
 
     # ------------------------------------------------------------------
     def send_specs(self) -> List[MessageSpec]:
-        return [s["spec"] for s in self._sends]
+        return [m.spec for _, m in self._sends]
 
     def recv_specs(self) -> List[MessageSpec]:
-        return [r["spec"] for r in self._recvs]
+        return [m.spec for _, m in self._recvs]
 
     def message_plan(self) -> RankMessagePlan:
         bb = self.decomp.brick_bytes
+
+        def planned(bound) -> tuple:
+            return tuple(
+                PlannedMessage(
+                    peer=rank, tag=m.tag, nbytes=m.nbricks * bb,
+                    ranges=((m.slot_start * bb, m.nbricks * bb),),
+                )
+                for rank, m in bound
+            )
+
         return RankMessagePlan(
             rank=self.comm.rank,
             method=self.method,
-            sends=tuple(
-                PlannedMessage(
-                    peer=s["rank"], tag=s["tag"], nbytes=s["nbricks"] * bb,
-                    ranges=((s["slot_start"] * bb, s["nbricks"] * bb),),
-                )
-                for s in self._sends
-            ),
-            recvs=tuple(
-                PlannedMessage(
-                    peer=r["rank"], tag=r["tag"], nbytes=r["nbricks"] * bb,
-                    ranges=((r["slot_start"] * bb, r["nbricks"] * bb),),
-                )
-                for r in self._recvs
-            ),
+            sends=planned(self._sends),
+            recvs=planned(self._recvs),
         )
 
     def _require_storage(self) -> BrickStorage:
@@ -181,12 +208,12 @@ class LayoutExchanger(Exchanger):
         rank = self.comm.rank
         reqs = []
         with _TRACER.span("exchange.post", rank=rank, method=self.method):
-            for r in self._recvs:
-                buf = st.slot_view(r["slot_start"], r["nbricks"])
-                reqs.append(self.comm.Irecv(buf, r["rank"], r["tag"]))
-            for s in self._sends:
-                buf = st.slot_view(s["slot_start"], s["nbricks"])
-                reqs.append(self.comm.Isend(buf, s["rank"], s["tag"]))
+            for peer, m in self._recvs:
+                buf = st.slot_view(m.slot_start, m.nbricks)
+                reqs.append(self.comm.Irecv(buf, peer, m.tag))
+            for peer, m in self._sends:
+                buf = st.slot_view(m.slot_start, m.nbricks)
+                reqs.append(self.comm.Isend(buf, peer, m.tag))
         with _TRACER.span("exchange.wait", rank=rank, method=self.method):
             self.comm.Waitall(reqs)
         if _METRICS.enabled:
@@ -217,14 +244,12 @@ class LayoutExchanger(Exchanger):
             self.comm,
             self.method,
             posts=[
-                (s["rank"], s["tag"],
-                 st.slot_view(s["slot_start"], s["nbricks"]))
-                for s in self._sends
+                (peer, m.tag, st.slot_view(m.slot_start, m.nbricks))
+                for peer, m in self._sends
             ],
             recvs=[
-                (r["rank"], r["tag"],
-                 st.slot_view(r["slot_start"], r["nbricks"]))
-                for r in self._recvs
+                (peer, m.tag, st.slot_view(m.slot_start, m.nbricks))
+                for peer, m in self._recvs
             ],
             result=self._model_result(),
             partitions=partitions,

@@ -20,9 +20,7 @@ by coalescing runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import List, Optional
 
 from repro.brick.decomp import BrickDecomp, SlotAssignment
 from repro.brick.info import direction_index
@@ -31,8 +29,10 @@ from repro.exchange.base import (
     ExchangeChannel,
     ExchangeResult,
     Exchanger,
+    MessageTable,
     PlannedMessage,
     RankMessagePlan,
+    bind_neighbors,
     exchange_tag,
 )
 from repro.faults.errors import ExchangeConfigError
@@ -47,7 +47,68 @@ from repro.util.timing import TimeBreakdown
 from repro.vmem.layout_plan import ViewPlan, plan_view
 from repro.vmem.view import StitchedViewBase
 
-__all__ = ["MemMapExchanger", "ExchangeView"]
+__all__ = [
+    "MemMapExchanger",
+    "ExchangeView",
+    "NeighborViews",
+    "memmap_message_table",
+]
+
+
+@dataclass(frozen=True)
+class NeighborViews:
+    """Rank-free view plans for the neighbor in direction ``neighbor``."""
+
+    neighbor: BitSet
+    send_tag: int
+    recv_tag: int
+    send_plan: ViewPlan
+    recv_plan: ViewPlan
+
+
+def memmap_message_table(
+    decomp: BrickDecomp, assignment: SlotAssignment, page_size: int
+) -> MessageTable:
+    """The MemMap scheme's table: one :class:`NeighborViews` entry per
+    neighbor direction with traffic.
+
+    Pure geometry: every rank of a run shares one table and binds each
+    direction to its own peer.
+    """
+    ndim = decomp.ndim
+    bb = decomp.brick_bytes
+    layout = decomp.layout
+    table = []
+    for neighbor in layout:
+        send_ranges = []
+        for start, length in message_runs(layout, neighbor):
+            for i in range(start, start + length):
+                sec = assignment.surface[layout[i]]
+                if sec.nbricks:
+                    send_ranges.append((sec.start * bb, sec.nbricks * bb))
+        opp = neighbor.opposite()
+        recv_ranges = []
+        for start, length in message_runs(layout, opp):
+            for i in range(start, start + length):
+                sec = assignment.ghost[(neighbor, layout[i])]
+                if sec.nbricks:
+                    recv_ranges.append((sec.start * bb, sec.nbricks * bb))
+        if not send_ranges and not recv_ranges:
+            continue
+        send_plan = plan_view(send_ranges, page_size)
+        recv_plan = plan_view(recv_ranges, page_size)
+        if send_plan.mapped_bytes != recv_plan.mapped_bytes:
+            raise AssertionError(
+                "send/recv view size mismatch for"
+                f" {neighbor.notation()}: {send_plan.mapped_bytes} vs"
+                f" {recv_plan.mapped_bytes}"
+            )
+        send_tag = exchange_tag(direction_index(opp.to_vector(ndim)), 0)
+        recv_tag = exchange_tag(direction_index(neighbor.to_vector(ndim)), 0)
+        table.append(
+            NeighborViews(neighbor, send_tag, recv_tag, send_plan, recv_plan)
+        )
+    return MessageTable("memmap", assignment.alignment, tuple(table), page_size)
 
 
 @dataclass
@@ -76,7 +137,11 @@ class ExchangeView:
 
 
 class MemMapExchanger(Exchanger):
-    """One-message-per-neighbor pack-free exchange through mapped views."""
+    """One-message-per-neighbor pack-free exchange through mapped views.
+
+    *table* is the run's shared :func:`memmap_message_table` for this
+    decomposition, assignment and page size; built here when omitted.
+    """
 
     method = "memmap"
 
@@ -88,6 +153,7 @@ class MemMapExchanger(Exchanger):
         assignment: SlotAssignment,
         profile: Optional[MachineProfile] = None,
         page_size: Optional[int] = None,
+        table: Optional[MessageTable] = None,
     ) -> None:
         from repro.hardware.profiles import generic_host
 
@@ -113,54 +179,27 @@ class MemMapExchanger(Exchanger):
                 f"storage alignment {assignment.alignment} is not page-"
                 f"aligned for {self.page_size}-byte pages"
             )
-        ndim = decomp.ndim
-        bb = decomp.brick_bytes
-
+        if table is None:
+            table = memmap_message_table(decomp, assignment, self.page_size)
         self.views: List[ExchangeView] = []
-        for neighbor in decomp.layout:
-            vec = neighbor.to_vector(ndim)
-            rank = comm.neighbor_rank(vec)
-            if rank is None:
-                continue  # non-periodic boundary: no partner, no views
-            send_ranges = []
-            for start, length in message_runs(decomp.layout, neighbor):
-                for i in range(start, start + length):
-                    sec = assignment.surface[decomp.layout[i]]
-                    if sec.nbricks:
-                        send_ranges.append((sec.start * bb, sec.nbricks * bb))
-            opp = neighbor.opposite()
-            recv_ranges = []
-            for start, length in message_runs(decomp.layout, opp):
-                for i in range(start, start + length):
-                    sec = assignment.ghost[(neighbor, decomp.layout[i])]
-                    if sec.nbricks:
-                        recv_ranges.append((sec.start * bb, sec.nbricks * bb))
-            if not send_ranges and not recv_ranges:
-                continue
-            send_plan = plan_view(send_ranges, self.page_size)
-            recv_plan = plan_view(recv_ranges, self.page_size)
-            if send_plan.mapped_bytes != recv_plan.mapped_bytes:
-                raise AssertionError(
-                    "send/recv view size mismatch for"
-                    f" {neighbor.notation()}: {send_plan.mapped_bytes} vs"
-                    f" {recv_plan.mapped_bytes}"
-                )
+        entries = table.entries_for(
+            self.method, assignment.alignment, self.page_size
+        )
+        for rank, nv in bind_neighbors(comm, decomp.ndim, entries):
             self.views.append(
                 ExchangeView(
-                    neighbor=neighbor,
+                    neighbor=nv.neighbor,
                     rank=rank,
-                    send_tag=exchange_tag(
-                        direction_index(opp.to_vector(ndim)), 0
-                    ),
-                    recv_tag=exchange_tag(direction_index(vec), 0),
-                    send_plan=send_plan,
-                    recv_plan=recv_plan,
+                    send_tag=nv.send_tag,
+                    recv_tag=nv.recv_tag,
+                    send_plan=nv.send_plan,
+                    recv_plan=nv.recv_plan,
                     send_view=(
-                        storage.make_view(send_plan.chunks)
+                        storage.make_view(nv.send_plan.chunks)
                         if storage is not None else None
                     ),
                     recv_view=(
-                        storage.make_view(recv_plan.chunks)
+                        storage.make_view(nv.recv_plan.chunks)
                         if storage is not None else None
                     ),
                 )

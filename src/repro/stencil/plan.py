@@ -24,11 +24,16 @@ The generic kernels in :mod:`repro.stencil.kernels` and
 :mod:`repro.stencil.brick_kernels` remain the bit-identity reference; the
 test suite asserts planned results equal them exactly.
 
-Plans own mutable scratch buffers and therefore must not be shared across
-simulated ranks (threads); the executed driver builds one plan per rank
-per cycle position.  Set ``REPRO_NO_PLAN=1`` (or pass
-``use_plans=False`` to :func:`repro.core.driver.run_executed`) to fall
-back to the generic kernels for debugging.
+The gather tables depend only on geometry (:func:`gather_tables`), and
+come out frozen read-only.  The executed driver builds them once per run
+geometry and hands them to every rank's plans (``tables=``) -- the plan
+object itself owns mutable scratch buffers and is never shared: the
+driver compiles one plan per rank per cycle position
+(``compile_brick_plan(..., owner=operand, tables=...)``).
+
+Set ``REPRO_NO_PLAN=1`` (or pass ``use_plans=False`` to
+:func:`repro.core.driver.run_executed`) to fall back to the generic
+kernels for debugging.
 """
 
 from __future__ import annotations
@@ -60,11 +65,16 @@ __all__ = [
     "compile_brick_plan",
     "compile_array_phase_plans",
     "compile_brick_phase_plans",
+    "gather_tables",
     "split_array_region",
     "split_brick_slots",
     "ghost_slot_mask",
     "plans_enabled",
 ]
+
+
+#: Slots per gather chunk of a compiled brick plan, by default.
+PLAN_CHUNK = 512
 
 
 def plans_enabled(flag: Optional[bool] = None) -> bool:
@@ -111,8 +121,9 @@ def _margin_slices(d: int, bd: int, r: int) -> Tuple[slice, slice]:
 # directions it reads from and the ravelled within-brick source offset.
 # Building these once turns per-chunk index-table construction from 3^D
 # meshgrid assemblies into two vectorized lookups -- the difference between
-# a ~77 ms and a ~2 ms plan compile per run (plans are rebuilt every run:
-# the BrickInfo that scopes the plan cache is itself rebuilt per rank).
+# a ~77 ms and a ~2 ms table build.  Gather tables are then built once
+# per run geometry (gather_tables); the templates, which depend only on
+# the brick shape and radius, outlive runs.
 _halo_templates: Dict[Tuple, Tuple[np.ndarray, np.ndarray]] = {}
 
 
@@ -176,16 +187,45 @@ def _build_gather_chunk(
         scatter = slice(int(slots[0]), int(slots[0]) + n)
     else:
         scatter = slots
+    # Shared by every plan (and rank) over this geometry: read-only.
+    for arr in (slots, index, absent_flat):
+        if arr is not None:
+            arr.flags.writeable = False
     return _GatherChunk(slots, index, absent_flat, scatter)
+
+
+def gather_tables(
+    info: BrickInfo,
+    slots: np.ndarray,
+    radius: int,
+    field_offset: int = 0,
+    chunk: int = PLAN_CHUNK,
+) -> Tuple[_GatherChunk, ...]:
+    """The frozen per-chunk gather tables of one slot set.
+
+    Pure geometry -- independent of the stencil taps, dtype and owning
+    rank -- so one set can drive every plan over *info* and *slots*
+    (pass it as ``tables=`` to :func:`compile_brick_plan`).
+    """
+    slots = np.array(slots, dtype=np.int64)  # the tables' own, frozen
+    brick_elems = int(math.prod(info.brick_dim)) * info.nfields
+    return tuple(
+        _build_gather_chunk(
+            info, slots[lo : lo + chunk], radius, field_offset, brick_elems
+        )
+        for lo in range(0, len(slots), chunk)
+    )
 
 
 class BrickStencilPlan:
     """Compiled executor of one stencil over a fixed brick slot set.
 
-    Precomputes fused gather tables, owns persistent halo/accumulator/tap
-    buffers, and dispatches the codegen-compiled batch kernel.  The
-    per-step work is: one ``np.take`` gather per chunk, the unrolled
-    in-place tap loop, and one scatter into the destination bricks.
+    Reads fused gather tables -- *tables*, shared read-only, or built
+    here from *slots* (:func:`gather_tables`) -- owns persistent
+    halo/accumulator/tap buffers, and dispatches the codegen-compiled
+    batch kernel.  The per-step work is: one ``np.take`` gather per
+    chunk, the unrolled in-place tap loop, and one scatter into the
+    destination bricks.
     """
 
     def __init__(
@@ -195,7 +235,8 @@ class BrickStencilPlan:
         slots: np.ndarray,
         field_offset: int = 0,
         dtype=np.float64,
-        chunk: int = 512,
+        chunk: int = PLAN_CHUNK,
+        tables: Optional[Tuple[_GatherChunk, ...]] = None,
     ) -> None:
         if spec.ndim != info.ndim:
             raise ValueError(
@@ -227,12 +268,9 @@ class BrickStencilPlan:
         slots = np.asarray(slots, dtype=np.int64)
         self.slots = slots
         self.cells = len(slots) * volume  # stencil points per execution
-        self.chunks: List[_GatherChunk] = [
-            _build_gather_chunk(
-                info, slots[lo : lo + chunk], r, self.field_offset, brick_elems
-            )
-            for lo in range(0, len(slots), chunk)
-        ]
+        if tables is None:
+            tables = gather_tables(info, slots, r, self.field_offset, chunk)
+        self.chunks = tables
         # Codegen seam: the fused C backend replaces the whole per-chunk
         # gather/taps/scatter sequence when available (and allowed by
         # REPRO_KERNEL_BACKEND); otherwise the NumPy plan path below runs
@@ -307,17 +345,23 @@ def compile_brick_plan(
     slots: np.ndarray,
     field_offset: int = 0,
     dtype=np.float64,
-    chunk: int = 512,
+    chunk: int = PLAN_CHUNK,
+    owner=None,
+    tables: Optional[Tuple[_GatherChunk, ...]] = None,
 ) -> BrickStencilPlan:
-    """Build (or fetch from the per-geometry cache) a brick plan.
+    """Build (or fetch from *owner*'s cache) a brick plan.
 
-    The cache lives on the :class:`BrickInfo` instance itself -- the
-    geometry *is* the cache scope, and an id()-keyed module cache could
-    hand a new geometry a stale plan.  Keys are
+    Plans are cached on *owner*, by default the :class:`BrickInfo`
+    instance itself -- the geometry is the cache scope, and an id()-keyed
+    module cache could hand a new geometry a stale plan.  Keys are
     ``(taps, slot set, field offset, dtype, chunk)``.  Cached plans hold
-    mutable scratch: share them only within one rank/thread.
+    mutable scratch, so an *info* shared between threads needs a
+    per-thread *owner* (the driver passes each rank's operand).
+    *tables* are prebuilt :func:`gather_tables` of *slots* for the plan
+    to read instead of building its own.
     """
-    cache: Dict[Tuple, BrickStencilPlan] = info.__dict__.setdefault(
+    scope = info if owner is None else owner
+    cache: Dict[Tuple, BrickStencilPlan] = scope.__dict__.setdefault(
         "_stencil_plan_cache", {}
     )
     slots = np.asarray(slots, dtype=np.int64)
@@ -334,7 +378,7 @@ def compile_brick_plan(
             _METRICS.count("plan.cache_misses")
         with _TRACER.span("plan.compile", nslots=len(slots)):
             plan = BrickStencilPlan(
-                spec, info, slots, field_offset, dtype, chunk
+                spec, info, slots, field_offset, dtype, chunk, tables
             )
         cache[key] = plan
     elif _METRICS.enabled:
@@ -396,22 +440,33 @@ def compile_brick_phase_plans(
     slots: np.ndarray,
     field_offset: int = 0,
     dtype=np.float64,
+    owner=None,
+    phases: Optional[Sequence[Tuple[np.ndarray, Optional[tuple]]]] = None,
 ) -> Tuple[Optional["BrickStencilPlan"], Optional["BrickStencilPlan"]]:
     """``(interior plan, surface plan)`` for one cycle position's slots.
 
     Either part may be ``None`` when empty (tiny subdomains have no
     interior bricks; a neighborless rank has no surface).  Compiled
     through :func:`compile_brick_plan`, so the sub-plans share the
-    per-geometry cache with the unphased plan.
+    *owner*'s plan cache with the unphased plan.  *phases* is a
+    precomputed ``((interior slots, gather tables), (surface slots,
+    gather tables))`` split of *slots*; without it the split is made
+    here and each plan builds its own tables.
     """
-    interior, surface = split_brick_slots(info, ghost_slot_mask(assignment), slots)
-    return (
-        compile_brick_plan(spec, info, interior, field_offset, dtype)
-        if len(interior)
-        else None,
-        compile_brick_plan(spec, info, surface, field_offset, dtype)
-        if len(surface)
-        else None,
+    if phases is None:
+        phases = tuple(
+            (part, None)
+            for part in split_brick_slots(
+                info, ghost_slot_mask(assignment), slots
+            )
+        )
+    return tuple(
+        compile_brick_plan(
+            spec, info, part, field_offset, dtype, owner=owner, tables=tables
+        )
+        if len(part)
+        else None
+        for part, tables in phases
     )
 
 

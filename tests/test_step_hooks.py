@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 from repro.core import driver
+from repro.core.geometry import build_run_geometry
+from repro.core.methods import method_info
 from repro.core.problem import StencilProblem
 from repro.core.runplan import DEFAULT_PARTITIONS, RankRunPlan
 from repro.faults import FaultPlan
@@ -126,10 +128,16 @@ class TestPhasedDemotion:
         monkeypatch.setattr(driver, "make_engines", recording)
         injector = FaultInjector(FaultPlan(seed=2, degrade=((3, 1),)))
         deferred = []
+        # The world geometry run_executed would build for this phased,
+        # degrading world.
+        geometry = build_run_geometry(
+            problem, method_info("memmap"), generic_host(), seed=0,
+            plans=True, phased=True, schemes=driver._LADDER,
+        )
         outs = run_spmd(
             problem.nranks, driver._rank_fn, problem, "memmap",
             generic_host(), 3, 0, None, None, True, True, injector, False,
-            None, True, None, deferred,
+            None, True, None, deferred, geometry,
             fabric=SimFabric(problem.nranks, timeout=15.0),
         )
         assert not deferred
