@@ -45,11 +45,11 @@ def _plans(problem, method):
 
 
 def _mutate_first_send(plans, **changes):
-    """Return plans with rank 0's first send replaced via dataclass
-    replace(**changes)."""
+    """Return plans with rank 0's first send replaced via
+    ``_replace(**changes)``."""
     plan = plans[0]
     sends = list(plan.sends)
-    sends[0] = replace(sends[0], **changes)
+    sends[0] = sends[0]._replace(**changes)
     plans = dict(plans)
     plans[0] = replace(plan, sends=tuple(sends))
     return plans
@@ -121,7 +121,7 @@ def _inject_tag_overflow(problem, method) -> Tuple[CheckReport, str]:
     # Keep the pairing intact on the peer so only the overflow fires.
     peer_plan = plans[target.peer]
     recvs = tuple(
-        replace(m, tag=bad)
+        m._replace(tag=bad)
         if (m.peer == 0 and m.tag == target.tag
             and m.phase == target.phase)
         else m

@@ -54,6 +54,7 @@ from repro.ckpt import (
     problem_key,
 )
 from repro.faults.errors import (
+    ExchangeConfigError,
     ExchangeIntegrityError,
     ExchangeTimeoutError,
     InjectedCrashError,
@@ -930,6 +931,16 @@ def run_executed(
     if check not in (None, "strict", "warn"):
         raise ValueError(
             f"check={check!r}: expected None, 'strict' or 'warn'"
+        )
+    if info.base == "shift" and fault_plan is not None and (
+        fault_plan.loses_messages
+    ):
+        # Healing re-runs the whole exchange, but a Shift peer may already
+        # wait at a later per-axis barrier: the run would deadlock.
+        raise ExchangeConfigError(
+            "method 'shift' cannot heal dropped or corrupted messages"
+            " (its per-axis barriers make a whole-exchange retry unsafe);"
+            " inject only duplicate/delay faults or pick another method"
         )
     injector = FaultInjector(fault_plan) if fault_plan is not None else None
     envelope = verify_wire or injector is not None

@@ -16,7 +16,7 @@ import math
 from typing import List, Optional, Sequence
 
 from repro.core.methods import MethodInfo, method_info
-from repro.exchange.costs import datatype_cost, network_times, pack_cost
+from repro.exchange.costs import exchange_cost
 from repro.exchange.schedule import (
     MessageSpec,
     array_schedule,
@@ -188,22 +188,11 @@ def exchange_breakdown(
     sends, recvs, phases = _schedules(
         info, profile, extent, brick_dim, ghost, layout, page_size, itemsize
     )
-    bd = TimeBreakdown()
-    if info.base == "shift":
-        # Phases serialize: each pays its own pack and network round.
-        for ph in phases:
-            bd.charge("pack", pack_cost(profile, ph) * 2)
-            call, wait = network_times(net, ph, ph)
-            bd.charge("call", call)
-            bd.charge("wait", wait)
-    else:
-        if info.packs:
-            bd.charge("pack", pack_cost(profile, sends) * 2)
-        call, wait = network_times(net, sends, recvs)
-        if info.base == "mpi_types":
-            wait += 2 * datatype_cost(profile, sends)
-        bd.charge("call", call)
-        bd.charge("wait", wait)
+    rounds = [(ph, ph) for ph in phases] if phases else [(sends, recvs)]
+    bd = exchange_cost(
+        profile, rounds, packs=info.packs,
+        datatypes=info.base == "mpi_types", net=net,
+    )
     if transport is not None:
         bd.charge("wait", transport.extra_wait(sends, recvs))
         bd.charge("move", transport.move(sends, recvs))

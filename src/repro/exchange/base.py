@@ -1,4 +1,4 @@
-"""Exchanger interface and shared modelled-timing helpers.
+"""Exchanger interface and the one implementation every scheme shares.
 
 Every exchanger really moves the data (over :mod:`repro.simmpi`) *and*
 returns a modelled :class:`~repro.util.timing.TimeBreakdown` for the
@@ -6,16 +6,22 @@ exchange, split into the artifact's phases: ``pack`` (on-node copies the
 scheme performs), ``call`` (posting MPI operations), ``wait`` (wire time
 plus any in-library processing) and ``move`` (explicit CPU-GPU staging,
 zero on CPU paths).
+
+A scheme states its wire schedule once, as :class:`WireMessage` lists
+handed to :meth:`PlannedExchanger._bind`; the static message plan, the
+modelled specs and result, the persistent channel and the per-message
+path all derive from those lists here.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.exchange.costs import exchange_cost
 from repro.exchange.schedule import MessageSpec
 from repro.faults.errors import ExchangeConfigError, ProtocolError
 from repro.hardware.profiles import MachineProfile
@@ -30,10 +36,13 @@ __all__ = [
     "Exchanger",
     "ExchangeChannel",
     "ExchangeResult",
+    "PlannedExchanger",
     "PlannedMessage",
     "MessageTable",
     "RankMessagePlan",
+    "WireMessage",
     "bind_neighbors",
+    "copier",
     "exchange_tag",
 ]
 
@@ -92,15 +101,15 @@ def bind_neighbors(comm: CartComm, ndim: int, entries) -> list:
     out = []
     for entry in entries:
         nb = entry.neighbor
-        if nb not in peers:
-            peers[nb] = comm.neighbor_rank(nb.to_vector(ndim))
-        if peers[nb] is not None:
-            out.append((peers[nb], entry))
+        peer = peers.get(nb, -1)
+        if peer == -1:
+            peer = peers[nb] = comm.neighbor_rank(nb.to_vector(ndim))
+        if peer is not None:
+            out.append((peer, entry))
     return out
 
 
-@dataclass(frozen=True)
-class PlannedMessage:
+class PlannedMessage(NamedTuple):
     """One message of a rank's static exchange schedule.
 
     A pure-geometry description of what :meth:`Exchanger.exchange` will
@@ -130,20 +139,12 @@ class PlannedMessage:
 
 @dataclass(frozen=True)
 class RankMessagePlan:
-    """One rank's complete per-step message schedule.
-
-    ``channelable`` mirrors whether :meth:`Exchanger.make_channel` can
-    flatten the schedule into one persistent batch (False for Shift,
-    whose intra-exchange barriers serialize the phases); ``nphases`` is
-    the number of barrier-separated rounds (1 for every flat schedule).
-    """
+    """One rank's complete per-step message schedule."""
 
     rank: int
     method: str
     sends: Tuple[PlannedMessage, ...]
     recvs: Tuple[PlannedMessage, ...]
-    channelable: bool = True
-    nphases: int = 1
 
 
 @dataclass
@@ -165,6 +166,23 @@ class ExchangeResult:
         ) / self.payload_bytes_sent
 
 
+Hook = Callable[[], None]
+
+
+def _run_hooks(hooks: Sequence[Hook], span: str, rank: int, method: str) -> None:
+    if hooks:
+        with _TRACER.span(span, rank=rank, method=method):
+            for hook in hooks:
+                hook()
+
+
+def _count(rank: int, packed_bytes: int, nmsgs: int) -> None:
+    """One exchange's on-node staged bytes and sent messages."""
+    if _METRICS.enabled:
+        _METRICS.count("exchange.bytes_packed", packed_bytes, rank=rank)
+        _METRICS.count("exchange.messages", nmsgs, rank=rank)
+
+
 class ExchangeChannel:
     """Persistent exchange channel: negotiate once, fire every step.
 
@@ -183,14 +201,19 @@ class ExchangeChannel:
     an unverified fabric (the envelope/chaos path keeps the per-message
     protocol, whose sequence/CRC state lives in the fabric).
 
+    *pre* hooks fill the send buffers before posting (pack, or view
+    refresh) and *post* hooks drain the receive buffers after the wait
+    (unpack, or view flush), each under its span name.
+
     Beyond the bulk-synchronous :meth:`exchange`, a channel can run one
-    exchange *phased*: :meth:`start` packs (if the scheme packs), arms the
+    exchange *phased*: :meth:`start` runs the *pre* hooks, arms the
     partitioned persistent requests and releases every send partition;
     :meth:`complete` drains the receives, awaits send consumption and
-    unpacks.  The caller computes interior stencil work between the two
-    -- the compute-comm overlap the phased timestep is built on.  With
-    *partitions* > 1, each flattened buffer travels as that many
-    independently-released sub-region partitions (``Pready`` semantics).
+    runs the *post* hooks.  The caller computes interior stencil work
+    between the two -- the compute-comm overlap the phased timestep is
+    built on.  With *partitions* > 1, each flattened buffer travels as
+    that many independently-released sub-region partitions (``Pready``
+    semantics).
     """
 
     __slots__ = ("comm", "method", "_fabric", "_rank", "_posts", "_recvs",
@@ -206,8 +229,8 @@ class ExchangeChannel:
         recvs: Sequence[Tuple[int, int, np.ndarray]],
         result: ExchangeResult,
         packed_bytes: int = 0,
-        pre=None,
-        post=None,
+        pre: Sequence[Hook] = (),
+        post: Sequence[Hook] = (),
         pre_span: str = "exchange.pack",
         post_span: str = "exchange.unpack",
         partitions: int = 1,
@@ -229,8 +252,8 @@ class ExchangeChannel:
         self._recvs = [(peer, tag, byte_view(buf)) for peer, tag, buf in recvs]
         self._result = result
         self._packed_bytes = int(packed_bytes)
-        self._pre = pre
-        self._post = post
+        self._pre = tuple(pre)
+        self._post = tuple(post)
         self._pre_span = pre_span
         self._post_span = post_span
         self._nmsgs = len(self._posts)
@@ -246,6 +269,15 @@ class ExchangeChannel:
             self._rank, self._posts, self._recvs, self._partitions
         )
 
+    def _run_pre(self) -> None:
+        _run_hooks(self._pre, self._pre_span, self._rank, self.method)
+
+    def _finish(self) -> ExchangeResult:
+        """Post hooks and counters, shared by both exchange forms."""
+        _run_hooks(self._post, self._post_span, self._rank, self.method)
+        _count(self._rank, self._packed_bytes, self._nmsgs)
+        return self._result
+
     def exchange(self) -> ExchangeResult:
         """Re-fire the negotiated plan; returns the precomputed result."""
         if self._inflight:
@@ -255,22 +287,13 @@ class ExchangeChannel:
             )
         fabric = self._fabric
         rank = self._rank
-        if self._pre is not None:
-            with _TRACER.span(self._pre_span, rank=rank, method=self.method):
-                self._pre()
+        self._run_pre()
         with _TRACER.span("exchange.post", rank=rank, method=self.method):
             entries = fabric.post_send_batch(rank, self._posts)
         with _TRACER.span("exchange.wait", rank=rank, method=self.method):
             fabric.complete_recv_batch(rank, self._recvs)
             fabric.wait_send_batch(entries, rank)
-        if self._post is not None:
-            with _TRACER.span(self._post_span, rank=rank, method=self.method):
-                self._post()
-        if _METRICS.enabled:
-            _METRICS.count("exchange.bytes_packed", self._packed_bytes,
-                           rank=rank)
-            _METRICS.count("exchange.messages", self._nmsgs, rank=rank)
-        return self._result
+        return self._finish()
 
     # ------------------------------------------------------------------
     # Phased exchange: start -> (caller's interior compute) -> complete
@@ -288,9 +311,7 @@ class ExchangeChannel:
                 " exchange first"
             )
         rank = self._rank
-        if self._pre is not None:
-            with _TRACER.span(self._pre_span, rank=rank, method=self.method):
-                self._pre()
+        self._run_pre()
         if self._psend is None:
             # Negotiated lazily on first phased use: the same channel can
             # serve bulk-synchronous runs without ever building requests.
@@ -307,26 +328,19 @@ class ExchangeChannel:
         """Drain every receive partition, await send consumption, unpack."""
         if not self._inflight:
             raise ProtocolError("complete() without a start()ed exchange")
-        rank = self._rank
-        with _TRACER.span("exchange.complete", rank=rank, method=self.method):
+        with _TRACER.span("exchange.complete", rank=self._rank,
+                          method=self.method):
             self._precv.complete()
             self._psend.wait()
         self._inflight = False
-        if self._post is not None:
-            with _TRACER.span(self._post_span, rank=rank, method=self.method):
-                self._post()
-        if _METRICS.enabled:
-            _METRICS.count("exchange.bytes_packed", self._packed_bytes,
-                           rank=rank)
-            _METRICS.count("exchange.messages", self._nmsgs, rank=rank)
-        return self._result
+        return self._finish()
 
 
 class Exchanger(abc.ABC):
-    """One rank's ghost-zone exchange engine.
+    """One rank's ghost-zone exchange engine (the abstract root).
 
-    Subclasses precompute their message plan at construction; ``exchange``
-    performs the data movement and returns an :class:`ExchangeResult`.
+    Every scheme extends :class:`PlannedExchanger`, which implements this
+    interface from the scheme's message lists.
     """
 
     #: Name used by benchmark tables.
@@ -344,17 +358,15 @@ class Exchanger(abc.ABC):
     def send_specs(self) -> List[MessageSpec]:
         """The modelled send schedule of this rank."""
 
+    @abc.abstractmethod
     def message_plan(self) -> RankMessagePlan:
         """This rank's static per-step message schedule, from geometry.
 
-        The introspection hook of the static verifier: every executable
-        method implements it so :mod:`repro.check` can rebuild the
-        global send/recv multigraph (peers, tags, byte counts, storage
-        ranges) without allocating wire buffers or touching the fabric.
+        The introspection hook of the static verifier: it lets
+        :mod:`repro.check` rebuild the global send/recv multigraph
+        (peers, tags, byte counts, storage ranges) without allocating
+        wire buffers or touching the fabric.
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not expose a static message plan"
-        )
 
     def make_channel(self, partitions: int = 1) -> Optional[ExchangeChannel]:
         """Persistent-channel form of this exchanger's plan.
@@ -371,33 +383,169 @@ class Exchanger(abc.ABC):
             return None
         return self._build_channel(int(partitions))
 
+    @abc.abstractmethod
     def _build_channel(self, partitions: int) -> Optional[ExchangeChannel]:
-        """Subclass hook: build the channel (fabric already vetted).
+        """Build the channel (fabric already vetted); ``None`` when the
+        schedule cannot flatten into one persistent batch."""
 
-        ``None`` (the default) marks schemes with intra-exchange barriers
-        (Shift) that cannot flatten into one persistent batch.
-        """
-        return None
 
-    # ------------------------------------------------------------------
-    # Shared modelled-time helpers (thin wrappers over exchange.costs)
-    # ------------------------------------------------------------------
-    def _network_times(
-        self, sends: Sequence[MessageSpec], recvs: Sequence[MessageSpec]
-    ) -> Tuple[float, float]:
-        """(call, wait) charged by the plain network model."""
-        from repro.exchange.costs import network_times
+class WireMessage(NamedTuple):
+    """One message as a scheme states it.
 
-        return network_times(self.profile.network, sends, recvs)
+    ``planned`` is its static plan entry (peer, tag, bytes, storage
+    ranges, phase) and ``spec`` what the cost model prices.  ``buf`` is
+    the C-contiguous buffer it travels in -- a storage view, a stitched
+    view's window or a staging buffer -- and ``None`` on a plan-only
+    exchanger.  ``hook`` is the on-node step that fills the buffer
+    before a send (pack, view refresh) or drains it after a receive
+    (unpack, view flush); ``None`` when the wire reads or writes storage
+    directly.
+    """
 
-    def _pack_cost(self, specs: Sequence[MessageSpec]) -> float:
-        """Application-level pack (or unpack) cost of a message batch."""
-        from repro.exchange.costs import pack_cost
+    planned: PlannedMessage
+    spec: MessageSpec
+    buf: Optional[np.ndarray] = None
+    hook: Optional[Hook] = None
 
-        return pack_cost(self.profile, specs)
 
-    def _datatype_cost(self, specs: Sequence[MessageSpec]) -> float:
-        """In-library derived-datatype processing cost of a batch."""
-        from repro.exchange.costs import datatype_cost
+def copier(pairs: Sequence[Tuple[np.ndarray, np.ndarray]]) -> Hook:
+    """A hook copying each ``(dst, src)`` view pair, in order."""
+    pairs = tuple(pairs)
 
-        return datatype_cost(self.profile, specs)
+    def copy() -> None:
+        for dst, src in pairs:
+            np.copyto(dst, src)
+
+    return copy
+
+
+class _Round:
+    """One barrier-separated batch of the schedule, flattened for firing."""
+
+    __slots__ = ("posts", "recvs", "pre", "post", "sends_spec", "recvs_spec")
+
+    def __init__(self, sends, recvs) -> None:
+        self.posts = [(m.planned.peer, m.planned.tag, m.buf) for m in sends]
+        self.recvs = [(m.planned.peer, m.planned.tag, m.buf) for m in recvs]
+        self.pre = [m.hook for m in sends if m.hook is not None]
+        self.post = [m.hook for m in recvs if m.hook is not None]
+        self.sends_spec = [m.spec for m in sends]
+        self.recvs_spec = [m.spec for m in recvs]
+
+
+class PlannedExchanger(Exchanger):
+    """An exchanger whose every run path derives from one message plan.
+
+    A scheme's constructor builds its geometry (tables, boxes, views,
+    staging buffers) and calls :meth:`_bind` once with its send and
+    receive :class:`WireMessage` lists.  Everything else follows:
+
+    * :meth:`message_plan` -- the static plan the checker verifies;
+    * :meth:`send_specs` and the modelled :class:`ExchangeResult`,
+      priced once by :func:`repro.exchange.costs.exchange_cost` under
+      the class's pricing policy (:attr:`packs`, :attr:`datatypes`);
+    * :meth:`make_channel` -- the persistent channel, ``None`` when the
+      plan has more than one phase (or the fabric is verified);
+    * :meth:`exchange` -- the per-message path: per phase, the send
+      hooks, every receive posted before any send, one wait, the
+      receive hooks, and a barrier after each phase of a multi-phase
+      plan.
+    """
+
+    #: The scheme copies every message on-node: once to pack, once to
+    #: unpack (charged to ``pack``).
+    packs = False
+    #: The MPI datatype engine gathers and scatters inside the library
+    #: (charged to ``wait``).
+    datatypes = False
+    #: Span names of the send and the receive hooks.
+    hook_spans = ("exchange.pack", "exchange.unpack")
+
+    def _bind(
+        self, sends: Sequence[WireMessage], recvs: Sequence[WireMessage]
+    ) -> None:
+        """Adopt the scheme's schedule; see the class docstring."""
+        self._plan = RankMessagePlan(
+            self.comm.rank,
+            self.method,
+            tuple(m.planned for m in sends),
+            tuple(m.planned for m in recvs),
+        )
+        self._specs = [m.spec for m in sends]
+        phases = sorted({m.planned.phase for m in (*sends, *recvs)}) or [0]
+        self._rounds = [
+            _Round(
+                [m for m in sends if m.planned.phase == p],
+                [m for m in recvs if m.planned.phase == p],
+            )
+            for p in phases
+        ]
+        self._live = all(m.buf is not None for m in (*sends, *recvs))
+        staged = self.packs or self.datatypes
+        self._staged_bytes = (
+            sum(m.planned.nbytes for m in (*sends, *recvs)) if staged else 0
+        )
+        self._result = ExchangeResult(
+            exchange_cost(
+                self.profile,
+                [(r.sends_spec, r.recvs_spec) for r in self._rounds],
+                packs=self.packs,
+                datatypes=self.datatypes,
+            ),
+            messages_sent=len(sends),
+            messages_received=len(recvs),
+            payload_bytes_sent=sum(m.spec.payload_bytes for m in sends),
+            wire_bytes_sent=sum(m.spec.wire_bytes for m in sends),
+        )
+
+    def send_specs(self) -> List[MessageSpec]:
+        return list(self._specs)
+
+    def message_plan(self) -> RankMessagePlan:
+        return self._plan
+
+    def _require_buffers(self) -> None:
+        if not self._live:
+            raise ExchangeConfigError(
+                f"{type(self).__name__} was built plan-only (no buffers);"
+                " it can be introspected but not exchanged"
+            )
+
+    def _build_channel(self, partitions: int) -> Optional[ExchangeChannel]:
+        if len(self._rounds) > 1:
+            return None  # intra-exchange barriers serialize the phases
+        self._require_buffers()
+        (r,) = self._rounds
+        return ExchangeChannel(
+            self.comm,
+            self.method,
+            posts=r.posts,
+            recvs=r.recvs,
+            result=self._result,
+            packed_bytes=self._staged_bytes,
+            pre=r.pre,
+            post=r.post,
+            pre_span=self.hook_spans[0],
+            post_span=self.hook_spans[1],
+            partitions=partitions,
+        )
+
+    def exchange(self) -> ExchangeResult:
+        self._require_buffers()
+        comm = self.comm
+        rank, method = comm.rank, self.method
+        pre_span, post_span = self.hook_spans
+        barrier = len(self._rounds) > 1
+        for r in self._rounds:
+            _run_hooks(r.pre, pre_span, rank, method)
+            # Every receive is posted before any send (deadlock-free).
+            with _TRACER.span("exchange.post", rank=rank, method=method):
+                reqs = [comm.Irecv(buf, peer, tag) for peer, tag, buf in r.recvs]
+                reqs += [comm.Isend(buf, peer, tag) for peer, tag, buf in r.posts]
+            with _TRACER.span("exchange.wait", rank=rank, method=method):
+                comm.Waitall(reqs)
+            _run_hooks(r.post, post_span, rank, method)
+            if barrier:
+                comm.Barrier()
+        _count(rank, self._staged_bytes, len(self._specs))
+        return self._result

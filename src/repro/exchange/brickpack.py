@@ -17,7 +17,7 @@ the pack-free schemes eliminate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -25,24 +25,19 @@ from repro.brick.decomp import BrickDecomp, Section, SlotAssignment
 from repro.brick.info import direction_index
 from repro.brick.storage import BrickStorage
 from repro.exchange.base import (
-    ExchangeChannel,
-    ExchangeResult,
-    Exchanger,
     MessageTable,
+    PlannedExchanger,
     PlannedMessage,
-    RankMessagePlan,
+    WireMessage,
     bind_neighbors,
+    copier,
     exchange_tag,
 )
 from repro.exchange.schedule import MessageSpec
-from repro.faults.errors import ExchangeConfigError
 from repro.hardware.profiles import MachineProfile
 from repro.layout.messages import message_runs
-from repro.obs import METRICS as _METRICS
-from repro.obs import TRACER as _TRACER
 from repro.simmpi.comm import CartComm
 from repro.util.bitset import BitSet
-from repro.util.timing import TimeBreakdown
 
 __all__ = ["BrickPackExchanger", "PackedNeighbor", "brickpack_message_table"]
 
@@ -59,10 +54,6 @@ class PackedNeighbor:
     send_secs: Tuple[Section, ...]
     recv_secs: Tuple[Section, ...]
     spec: MessageSpec
-
-    @property
-    def nbricks(self) -> int:
-        return sum(s.nbricks for s in self.send_secs)
 
 
 def brickpack_message_table(
@@ -121,14 +112,18 @@ def brickpack_message_table(
     return MessageTable("brickpack", assignment.alignment, tuple(table))
 
 
-class BrickPackExchanger(Exchanger):
+class BrickPackExchanger(PlannedExchanger):
     """One staged message per neighbor over brick slot sections.
 
     *table* is the run's shared :func:`brickpack_message_table` for this
-    decomposition and assignment; built here when omitted.
+    decomposition and assignment; built here when omitted.  The plan's
+    storage ranges describe where each payload *lives in brick storage*
+    (gather sources for sends, scatter targets for recvs), even though
+    the wire message itself is a staged contiguous buffer.
     """
 
     method = "brickpack"
+    packs = True
 
     def __init__(
         self,
@@ -148,129 +143,32 @@ class BrickPackExchanger(Exchanger):
         if table is None:
             table = brickpack_message_table(decomp, self.assignment)
         dtype = storage.dtype if storage is not None else decomp.dtype
-        be = decomp.brick_bytes // dtype.itemsize  # elems per brick
+        bb = decomp.brick_bytes
+        be = bb // dtype.itemsize  # elems per brick
 
-        # (peer rank, message, send staging, recv staging); the staging
-        # buffers are persistent, reused every timestep.
-        self._plan = []
-        entries = table.entries_for(self.method, self.assignment.alignment)
-        for rank, m in bind_neighbors(comm, decomp.ndim, entries):
-            n = m.nbricks * be
-            if storage is None:
-                bufs = (None, None)
-            else:
-                bufs = (np.empty(n, dtype=dtype), np.empty(n, dtype=dtype))
-            self._plan.append((rank, m, *bufs))
-
-    # ------------------------------------------------------------------
-    def send_specs(self) -> List[MessageSpec]:
-        return [m.spec for _, m, _, _ in self._plan]
-
-    def recv_specs(self) -> List[MessageSpec]:
-        return self.send_specs()
-
-    def message_plan(self) -> RankMessagePlan:
-        """Static per-rank schedule with storage byte ranges per section.
-
-        The ranges describe where the *payload lives in brick storage*
-        (gather sources for sends, scatter targets for recvs), even
-        though the wire message itself is a staged contiguous buffer.
-        """
-        bb = self.decomp.brick_bytes
-
-        def planned(peer, tag, secs) -> PlannedMessage:
-            return PlannedMessage(
+        def staged(peer, tag, secs, spec, gather: bool) -> WireMessage:
+            """A persistent staging buffer over *secs*, reused every
+            timestep: *gather* packs the sections into it, else it is
+            unpacked into them."""
+            planned = PlannedMessage(
                 peer, tag, sum(s.nbricks for s in secs) * bb,
                 ranges=tuple((s.start * bb, s.nbricks * bb) for s in secs),
             )
-
-        sends = [planned(r, m.send_tag, m.send_secs) for r, m, _, _ in self._plan]
-        recvs = [planned(r, m.recv_tag, m.recv_secs) for r, m, _, _ in self._plan]
-        return RankMessagePlan(
-            self.comm.rank, self.method, tuple(sends), tuple(recvs)
-        )
-
-    def _require_storage(self) -> BrickStorage:
-        if self.storage is None:
-            raise ExchangeConfigError(
-                "BrickPackExchanger was built plan-only (storage=None); it"
-                " can describe its schedule but not execute an exchange"
-            )
-        return self.storage
-
-    def _pack_sends(self) -> None:
-        """Gather every neighbor's surface sections into its staging buffer."""
-        st = self._require_storage()
-        be = st.brick_elems
-        for _, m, buf, _ in self._plan:
-            pos = 0
-            for sec in m.send_secs:
+            if storage is None:
+                return WireMessage(planned, spec)
+            buf = np.empty(planned.nbytes // dtype.itemsize, dtype)
+            pairs, pos = [], 0
+            for sec in secs:
                 n = sec.nbricks * be
-                buf[pos : pos + n] = st.slot_view(sec.start, sec.nbricks)
+                part = buf[pos : pos + n]
+                slots = storage.slot_view(sec.start, sec.nbricks)
+                pairs.append((part, slots) if gather else (slots, part))
                 pos += n
+            return WireMessage(planned, spec, buf, copier(pairs))
 
-    def _unpack_recvs(self) -> None:
-        """Scatter every received payload into its ghost sections."""
-        st = self._require_storage()
-        be = st.brick_elems
-        for _, m, _, buf in self._plan:
-            pos = 0
-            for sec in m.recv_secs:
-                n = sec.nbricks * be
-                st.slot_view(sec.start, sec.nbricks)[:] = buf[pos : pos + n]
-                pos += n
-
-    def exchange(self) -> ExchangeResult:
-        self._require_storage()
-        rank = self.comm.rank
-        reqs = []
-        with _TRACER.span("exchange.post", rank=rank, method=self.method):
-            for peer, m, _, rbuf in self._plan:
-                reqs.append(self.comm.Irecv(rbuf, peer, m.recv_tag))
-        with _TRACER.span("exchange.pack", rank=rank, method=self.method):
-            self._pack_sends()
-            for peer, m, sbuf, _ in self._plan:
-                reqs.append(self.comm.Isend(sbuf, peer, m.send_tag))
-        with _TRACER.span("exchange.wait", rank=rank, method=self.method):
-            self.comm.Waitall(reqs)
-        with _TRACER.span("exchange.unpack", rank=rank, method=self.method):
-            self._unpack_recvs()
-        if _METRICS.enabled:
-            _METRICS.count("exchange.bytes_packed", self._staged_bytes(),
-                           rank=rank)
-            _METRICS.count("exchange.messages", len(self._plan), rank=rank)
-        return self._model_result()
-
-    def _model_result(self) -> ExchangeResult:
-        """Modelled outcome of one exchange (static per message plan)."""
-        specs = self.send_specs()
-        breakdown = TimeBreakdown()
-        breakdown.charge("pack", self._pack_cost(specs) * 2)  # pack+unpack
-        call, wait = self._network_times(specs, specs)
-        breakdown.charge("call", call)
-        breakdown.charge("wait", wait)
-        return ExchangeResult(
-            breakdown,
-            messages_sent=len(specs),
-            messages_received=len(specs),
-            payload_bytes_sent=sum(m.payload_bytes for m in specs),
-            wire_bytes_sent=sum(m.wire_bytes for m in specs),
-        )
-
-    def _staged_bytes(self) -> int:
-        return sum(sb.nbytes + rb.nbytes for _, _, sb, rb in self._plan)
-
-    def _build_channel(self, partitions):
-        self._require_storage()
-        plan = self._plan
-        return ExchangeChannel(
-            self.comm,
-            self.method,
-            posts=[(peer, m.send_tag, sb) for peer, m, sb, _ in plan],
-            recvs=[(peer, m.recv_tag, rb) for peer, m, _, rb in plan],
-            result=self._model_result(),
-            packed_bytes=self._staged_bytes(),
-            pre=self._pack_sends,
-            post=self._unpack_recvs,
-            partitions=partitions,
-        )
+        sends, recvs = [], []
+        entries = table.entries_for(self.method, self.assignment.alignment)
+        for peer, m in bind_neighbors(comm, decomp.ndim, entries):
+            sends.append(staged(peer, m.send_tag, m.send_secs, m.spec, True))
+            recvs.append(staged(peer, m.recv_tag, m.recv_secs, m.spec, False))
+        self._bind(sends, recvs)

@@ -1,19 +1,27 @@
 """Shared modelled-cost functions over message schedules.
 
-Used by both the executed exchangers (to report per-exchange breakdowns)
-and the pure-modelled driver (to price arbitrary scales without
-allocating data), guaranteeing the two agree.
+:func:`exchange_cost` prices one exchange for both the executed
+exchangers (their per-exchange breakdowns) and the pure-modelled driver
+(arbitrary scales without allocating data), so each scheme's pack,
+datatype and phase policy is applied by one function.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.exchange.schedule import MessageSpec
 from repro.hardware.network import NetworkModel
 from repro.hardware.profiles import MachineProfile
+from repro.util.timing import TimeBreakdown
 
-__all__ = ["network_times", "pack_cost", "datatype_cost", "overlap_times"]
+__all__ = [
+    "datatype_cost",
+    "exchange_cost",
+    "network_times",
+    "overlap_times",
+    "pack_cost",
+]
 
 
 def overlap_times(wait: float, interior_calc: float) -> Tuple[float, float]:
@@ -58,3 +66,33 @@ def datatype_cost(profile: MachineProfile, specs: Sequence[MessageSpec]) -> floa
         total += m.payload_bytes / profile.type_engine_bw
         total += m.nsegments * profile.memory.seg_overhead
     return total
+
+
+def exchange_cost(
+    profile: MachineProfile,
+    rounds: Sequence[Tuple[Sequence[MessageSpec], Sequence[MessageSpec]]],
+    packs: bool = False,
+    datatypes: bool = False,
+    net: Optional[NetworkModel] = None,
+) -> TimeBreakdown:
+    """Modelled ``pack``/``call``/``wait`` of one exchange.
+
+    *rounds* are the exchange's barrier-separated ``(sends, recvs)``
+    batches -- one for a flat schedule, one per axis for Shift -- and
+    each pays its own network round.  *packs*: the scheme copies every
+    message on-node, once to pack and once to unpack.  *datatypes*: the
+    MPI datatype engine gathers and scatters inside the library, on the
+    send and on the receive side, serialized on this rank's core (charged
+    to ``wait``).  *net* replaces the profile's network (GPU transports).
+    """
+    net = net if net is not None else profile.network
+    bd = TimeBreakdown()
+    for sends, recvs in rounds:
+        if packs:
+            bd.charge("pack", pack_cost(profile, sends) * 2)
+        call, wait = network_times(net, sends, recvs)
+        if datatypes:
+            wait += 2 * datatype_cost(profile, sends)
+        bd.charge("call", call)
+        bd.charge("wait", wait)
+    return bd

@@ -17,12 +17,10 @@ from repro.brick.decomp import BrickDecomp, SlotAssignment
 from repro.brick.info import direction_index
 from repro.brick.storage import BrickStorage
 from repro.exchange.base import (
-    ExchangeChannel,
-    ExchangeResult,
-    Exchanger,
     MessageTable,
+    PlannedExchanger,
     PlannedMessage,
-    RankMessagePlan,
+    WireMessage,
     bind_neighbors,
     exchange_tag,
 )
@@ -30,11 +28,8 @@ from repro.faults.errors import ExchangeConfigError
 from repro.exchange.schedule import MessageSpec
 from repro.hardware.profiles import MachineProfile
 from repro.layout.messages import message_runs
-from repro.obs import METRICS as _METRICS
-from repro.obs import TRACER as _TRACER
 from repro.simmpi.comm import CartComm
 from repro.util.bitset import BitSet
-from repro.util.timing import TimeBreakdown
 
 __all__ = ["LayoutExchanger", "SlotMessage", "layout_message_table"]
 
@@ -131,7 +126,7 @@ def layout_message_table(
     )
 
 
-class LayoutExchanger(Exchanger):
+class LayoutExchanger(PlannedExchanger):
     """Pack-free brick exchange using contiguous region runs.
 
     *table* is the run's shared :func:`layout_message_table` for this
@@ -144,7 +139,7 @@ class LayoutExchanger(Exchanger):
         self,
         comm: CartComm,
         decomp: BrickDecomp,
-        storage: Optional[BrickStorage],
+        storage: Optional[BrickStorage],  # None = plan-only
         assignment: Optional[SlotAssignment] = None,
         profile: Optional[MachineProfile] = None,
         merge_runs: bool = True,
@@ -154,7 +149,7 @@ class LayoutExchanger(Exchanger):
 
         super().__init__(comm, profile or generic_host())
         self.decomp = decomp
-        self.storage = storage  # None = plan-only (static verification)
+        self.storage = storage
         self.merge_runs = bool(merge_runs)
         if not self.merge_runs:
             self.method = "basic"
@@ -165,92 +160,24 @@ class LayoutExchanger(Exchanger):
                 decomp, self.assignment, self.merge_runs
             )
         sends, recvs = table.entries_for(self.method, self.assignment.alignment)
-        # (peer rank, message) pairs of this rank.
-        self._sends = bind_neighbors(comm, decomp.ndim, sends)
-        self._recvs = bind_neighbors(comm, decomp.ndim, recvs)
+        bb = decomp.brick_bytes
 
-    # ------------------------------------------------------------------
-    def send_specs(self) -> List[MessageSpec]:
-        return [m.spec for _, m in self._sends]
-
-    def recv_specs(self) -> List[MessageSpec]:
-        return [m.spec for _, m in self._recvs]
-
-    def message_plan(self) -> RankMessagePlan:
-        bb = self.decomp.brick_bytes
-
-        def planned(bound) -> tuple:
-            return tuple(
-                PlannedMessage(
-                    peer=rank, tag=m.tag, nbytes=m.nbricks * bb,
+        def wired(bound) -> list:
+            """Each slot run goes on the wire straight out of storage."""
+            out = []
+            for peer, m in bound:
+                planned = PlannedMessage(
+                    peer, m.tag, m.nbricks * bb,
                     ranges=((m.slot_start * bb, m.nbricks * bb),),
                 )
-                for rank, m in bound
-            )
+                buf = (
+                    storage.slot_view(m.slot_start, m.nbricks)
+                    if storage is not None else None
+                )
+                out.append(WireMessage(planned, m.spec, buf))
+            return out
 
-        return RankMessagePlan(
-            rank=self.comm.rank,
-            method=self.method,
-            sends=planned(self._sends),
-            recvs=planned(self._recvs),
-        )
-
-    def _require_storage(self) -> BrickStorage:
-        if self.storage is None:
-            raise ExchangeConfigError(
-                f"{type(self).__name__} was built plan-only (no storage);"
-                " it can be introspected but not exchanged"
-            )
-        return self.storage
-
-    def exchange(self) -> ExchangeResult:
-        st = self._require_storage()
-        rank = self.comm.rank
-        reqs = []
-        with _TRACER.span("exchange.post", rank=rank, method=self.method):
-            for peer, m in self._recvs:
-                buf = st.slot_view(m.slot_start, m.nbricks)
-                reqs.append(self.comm.Irecv(buf, peer, m.tag))
-            for peer, m in self._sends:
-                buf = st.slot_view(m.slot_start, m.nbricks)
-                reqs.append(self.comm.Isend(buf, peer, m.tag))
-        with _TRACER.span("exchange.wait", rank=rank, method=self.method):
-            self.comm.Waitall(reqs)
-        if _METRICS.enabled:
-            # Pack-free by construction: zero bytes staged on-node.
-            _METRICS.count("exchange.bytes_packed", 0, rank=rank)
-            _METRICS.count("exchange.messages", len(self._sends), rank=rank)
-        return self._model_result()
-
-    def _model_result(self) -> ExchangeResult:
-        """Modelled outcome of one exchange (static per message plan)."""
-        send_specs = self.send_specs()
-        recv_specs = self.recv_specs()
-        breakdown = TimeBreakdown()  # pack stays exactly zero
-        call, wait = self._network_times(send_specs, recv_specs)
-        breakdown.charge("call", call)
-        breakdown.charge("wait", wait)
-        return ExchangeResult(
-            breakdown,
-            messages_sent=len(send_specs),
-            messages_received=len(recv_specs),
-            payload_bytes_sent=sum(m.payload_bytes for m in send_specs),
-            wire_bytes_sent=sum(m.wire_bytes for m in send_specs),
-        )
-
-    def _build_channel(self, partitions):
-        st = self._require_storage()
-        return ExchangeChannel(
-            self.comm,
-            self.method,
-            posts=[
-                (peer, m.tag, st.slot_view(m.slot_start, m.nbricks))
-                for peer, m in self._sends
-            ],
-            recvs=[
-                (peer, m.tag, st.slot_view(m.slot_start, m.nbricks))
-                for peer, m in self._recvs
-            ],
-            result=self._model_result(),
-            partitions=partitions,
+        self._bind(
+            wired(bind_neighbors(comm, decomp.ndim, sends)),
+            wired(bind_neighbors(comm, decomp.ndim, recvs)),
         )

@@ -26,12 +26,10 @@ from repro.brick.decomp import BrickDecomp, SlotAssignment
 from repro.brick.info import direction_index
 from repro.brick.storage import BrickStorage
 from repro.exchange.base import (
-    ExchangeChannel,
-    ExchangeResult,
-    Exchanger,
     MessageTable,
+    PlannedExchanger,
     PlannedMessage,
-    RankMessagePlan,
+    WireMessage,
     bind_neighbors,
     exchange_tag,
 )
@@ -39,11 +37,8 @@ from repro.faults.errors import ExchangeConfigError
 from repro.exchange.schedule import MessageSpec
 from repro.hardware.profiles import MachineProfile
 from repro.layout.messages import message_runs
-from repro.obs import METRICS as _METRICS
-from repro.obs import TRACER as _TRACER
 from repro.simmpi.comm import CartComm
 from repro.util.bitset import BitSet
-from repro.util.timing import TimeBreakdown
 from repro.vmem.layout_plan import ViewPlan, plan_view
 from repro.vmem.view import StitchedViewBase
 
@@ -136,20 +131,23 @@ class ExchangeView:
             self.recv_view.close()
 
 
-class MemMapExchanger(Exchanger):
+class MemMapExchanger(PlannedExchanger):
     """One-message-per-neighbor pack-free exchange through mapped views.
 
     *table* is the run's shared :func:`memmap_message_table` for this
     decomposition, assignment and page size; built here when omitted.
+    With the simulated arena, each send view's refresh and each receive
+    view's flush stand in for the MMU (no-ops on real mappings).
     """
 
     method = "memmap"
+    hook_spans = ("exchange.sync", "exchange.sync")
 
     def __init__(
         self,
         comm: CartComm,
         decomp: BrickDecomp,
-        storage: Optional[BrickStorage],
+        storage: Optional[BrickStorage],  # None = plan-only
         assignment: SlotAssignment,
         profile: Optional[MachineProfile] = None,
         page_size: Optional[int] = None,
@@ -164,7 +162,7 @@ class MemMapExchanger(Exchanger):
                 " with BrickDecomp.mmap_alloc"
             )
         self.decomp = decomp
-        self.storage = storage  # None = plan-only (static verification)
+        self.storage = storage
         self.assignment = assignment
         if page_size is None and storage is not None:
             page_size = storage.arena.page_size
@@ -185,26 +183,37 @@ class MemMapExchanger(Exchanger):
         entries = table.entries_for(
             self.method, assignment.alignment, self.page_size
         )
+        sends, recvs = [], []
         for rank, nv in bind_neighbors(comm, decomp.ndim, entries):
-            self.views.append(
-                ExchangeView(
-                    neighbor=nv.neighbor,
-                    rank=rank,
-                    send_tag=nv.send_tag,
-                    recv_tag=nv.recv_tag,
-                    send_plan=nv.send_plan,
-                    recv_plan=nv.recv_plan,
-                    send_view=(
-                        storage.make_view(nv.send_plan.chunks)
-                        if storage is not None else None
-                    ),
-                    recv_view=(
-                        storage.make_view(nv.recv_plan.chunks)
-                        if storage is not None else None
-                    ),
-                )
+            send, recv = nv.send_plan, nv.recv_plan
+            v = ExchangeView(nv.neighbor, rank, nv.send_tag, nv.recv_tag,
+                             send, recv)
+            self.views.append(v)
+            sent = PlannedMessage(
+                rank, nv.send_tag, send.mapped_bytes, ranges=tuple(send.chunks)
             )
+            got = PlannedMessage(
+                rank, nv.recv_tag, recv.mapped_bytes, ranges=tuple(recv.chunks)
+            )
+            send_spec = MessageSpec(
+                nv.neighbor, send.payload_bytes, send.mapped_bytes,
+                nsegments=1, run_elems=send.payload_bytes // 8,
+                nmappings=send.mapping_count,
+            )
+            recv_spec = MessageSpec(
+                nv.neighbor, recv.payload_bytes, recv.mapped_bytes,
+                nmappings=recv.mapping_count,
+            )
+            if storage is None:
+                sends.append(WireMessage(sent, send_spec))
+                recvs.append(WireMessage(got, recv_spec))
+                continue
+            v.send_view = sv = storage.make_view(send.chunks)
+            v.recv_view = rv = storage.make_view(recv.chunks)
+            sends.append(WireMessage(sent, send_spec, sv.array(), sv.refresh))
+            recvs.append(WireMessage(got, recv_spec, rv.array(), rv.flush))
         self._check_mapping_budget()
+        self._bind(sends, recvs)
 
     # ------------------------------------------------------------------
     def _check_mapping_budget(self) -> None:
@@ -223,127 +232,6 @@ class MemMapExchanger(Exchanger):
         return sum(
             v.send_plan.mapping_count + v.recv_plan.mapping_count
             for v in self.views
-        )
-
-    def send_specs(self) -> List[MessageSpec]:
-        return [
-            MessageSpec(
-                v.neighbor,
-                payload_bytes=v.send_plan.payload_bytes,
-                wire_bytes=v.send_plan.mapped_bytes,
-                nsegments=1,
-                run_elems=v.send_plan.payload_bytes // 8,
-                nmappings=v.send_plan.mapping_count,
-            )
-            for v in self.views
-        ]
-
-    def recv_specs(self) -> List[MessageSpec]:
-        return [
-            MessageSpec(
-                v.neighbor,
-                payload_bytes=v.recv_plan.payload_bytes,
-                wire_bytes=v.recv_plan.mapped_bytes,
-                nmappings=v.recv_plan.mapping_count,
-            )
-            for v in self.views
-        ]
-
-    def message_plan(self) -> RankMessagePlan:
-        return RankMessagePlan(
-            rank=self.comm.rank,
-            method=self.method,
-            sends=tuple(
-                PlannedMessage(
-                    peer=v.rank, tag=v.send_tag,
-                    nbytes=v.send_plan.mapped_bytes,
-                    ranges=tuple(v.send_plan.chunks),
-                )
-                for v in self.views
-            ),
-            recvs=tuple(
-                PlannedMessage(
-                    peer=v.rank, tag=v.recv_tag,
-                    nbytes=v.recv_plan.mapped_bytes,
-                    ranges=tuple(v.recv_plan.chunks),
-                )
-                for v in self.views
-            ),
-        )
-
-    def _require_views(self) -> None:
-        if self.storage is None:
-            raise ExchangeConfigError(
-                "MemMapExchanger was built plan-only (no storage); it can"
-                " be introspected but not exchanged"
-            )
-
-    def exchange(self) -> ExchangeResult:
-        self._require_views()
-        rank = self.comm.rank
-        reqs = []
-        with _TRACER.span("exchange.post", rank=rank, method=self.method):
-            for v in self.views:
-                reqs.append(
-                    self.comm.Irecv(v.recv_view.array(), v.rank, v.recv_tag)
-                )
-            for v in self.views:
-                v.send_view.refresh()  # no-op on real mappings
-                reqs.append(
-                    self.comm.Isend(v.send_view.array(), v.rank, v.send_tag)
-                )
-        with _TRACER.span("exchange.wait", rank=rank, method=self.method):
-            self.comm.Waitall(reqs)
-        with _TRACER.span("exchange.sync", rank=rank, method=self.method):
-            for v in self.views:
-                v.recv_view.flush()  # no-op on real mappings
-        if _METRICS.enabled:
-            # Pack-free through the MMU: no staged bytes, but each view
-            # burns kernel mappings (the vm.max_map_count budget).
-            _METRICS.count("exchange.bytes_packed", 0, rank=rank)
-            _METRICS.count("exchange.messages", len(self.views), rank=rank)
-            _METRICS.gauge("memmap.regions", self.mapping_count, rank=rank)
-        return self._model_result()
-
-    def _model_result(self) -> ExchangeResult:
-        """Modelled outcome of one exchange (static per view plan)."""
-        send_specs = self.send_specs()
-        recv_specs = self.recv_specs()
-        breakdown = TimeBreakdown()  # pack-free and copy-free
-        call, wait = self._network_times(send_specs, recv_specs)
-        breakdown.charge("call", call)
-        breakdown.charge("wait", wait)
-        return ExchangeResult(
-            breakdown,
-            messages_sent=len(send_specs),
-            messages_received=len(recv_specs),
-            payload_bytes_sent=sum(m.payload_bytes for m in send_specs),
-            wire_bytes_sent=sum(m.wire_bytes for m in send_specs),
-        )
-
-    def _build_channel(self, partitions):
-        self._require_views()
-        views = self.views
-
-        def refresh() -> None:
-            for v in views:
-                v.send_view.refresh()  # no-op on real mappings
-
-        def flush() -> None:
-            for v in views:
-                v.recv_view.flush()  # no-op on real mappings
-
-        return ExchangeChannel(
-            self.comm,
-            self.method,
-            posts=[(v.rank, v.send_tag, v.send_view.array()) for v in views],
-            recvs=[(v.rank, v.recv_tag, v.recv_view.array()) for v in views],
-            result=self._model_result(),
-            pre=refresh,
-            post=flush,
-            pre_span="exchange.sync",
-            post_span="exchange.sync",
-            partitions=partitions,
         )
 
     def close(self) -> None:

@@ -14,42 +14,83 @@ themselves, not allocation.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+import math
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.brick.info import direction_index
 from repro.exchange.base import (
-    ExchangeChannel,
-    ExchangeResult,
-    Exchanger,
+    PlannedExchanger,
     PlannedMessage,
-    RankMessagePlan,
+    WireMessage,
+    copier,
     exchange_tag,
 )
-from repro.faults.errors import ExchangeConfigError
 from repro.exchange.boxes import box_slices, neighbor_recv_box, neighbor_send_box
 from repro.exchange.schedule import MessageSpec, array_schedule
+from repro.faults.errors import ExchangeConfigError
 from repro.hardware.profiles import MachineProfile
 from repro.layout.regions import all_regions
-from repro.obs import METRICS as _METRICS
-from repro.obs import TRACER as _TRACER
 from repro.simmpi.comm import CartComm
-from repro.util.bitset import BitSet
-from repro.util.timing import TimeBreakdown
 
-__all__ = ["PackExchanger"]
+__all__ = ["PackExchanger", "array_neighbors", "checked_dtype"]
 
 
-class PackExchanger(Exchanger):
+def checked_dtype(
+    array: Optional[np.ndarray], extent: Sequence[int], ghost: int, dtype
+) -> np.dtype:
+    """The element type of an extended *array* (``None`` = plan-only,
+    *dtype* given), once its shape is checked against *extent*."""
+    expected = tuple(int(e) + 2 * ghost for e in reversed(extent))
+    if array is None:
+        return np.dtype(dtype)
+    if array.shape != expected:
+        raise ExchangeConfigError(
+            f"extended array shape {array.shape}, expected {expected}"
+        )
+    return array.dtype
+
+
+def array_neighbors(
+    comm: CartComm, extent: Tuple[int, ...], ghost: int, itemsize: int
+) -> List[Tuple[int, tuple, tuple, int, int, MessageSpec]]:
+    """``(peer, send box, recv box, send tag, recv tag, spec)`` for each
+    neighbor with a partner, in region order.
+
+    Neighbors off a non-periodic boundary have no partner: nothing is
+    exchanged with them and their ghost box keeps whatever boundary
+    condition the application wrote there.
+    """
+    ndim = len(extent)
+    specs = {m.neighbor: m for m in array_schedule(extent, ghost, itemsize)}
+    out = []
+    for neighbor in all_regions(ndim):
+        vec = neighbor.to_vector(ndim)
+        peer = comm.neighbor_rank(vec)
+        if peer is None:
+            continue
+        out.append((
+            peer,
+            neighbor_send_box(neighbor, extent, ghost),
+            neighbor_recv_box(neighbor, extent, ghost),
+            exchange_tag(direction_index(neighbor.opposite().to_vector(ndim)), 0),
+            exchange_tag(direction_index(vec), 0),
+            specs[neighbor],
+        ))
+    return out
+
+
+class PackExchanger(PlannedExchanger):
     """Explicit-packing exchange over a lexicographic extended array."""
 
     method = "pack"
+    packs = True
 
     def __init__(
         self,
         comm: CartComm,
-        array: Optional[np.ndarray],
+        array: Optional[np.ndarray],  # None = plan-only
         extent: Sequence[int],
         ghost: int,
         profile: MachineProfile,
@@ -58,165 +99,27 @@ class PackExchanger(Exchanger):
         super().__init__(comm, profile)
         self.extent = tuple(int(e) for e in extent)
         self.ghost = int(ghost)
-        ndim = len(self.extent)
-        expected = tuple(e + 2 * self.ghost for e in reversed(self.extent))
-        if array is not None:
-            if array.shape != expected:
-                raise ExchangeConfigError(
-                    f"extended array shape {array.shape}, expected {expected}"
-                )
-            dtype = array.dtype
-        self.array = array  # None = plan-only (static verification)
-        self.dtype = np.dtype(dtype)
-        self._specs = array_schedule(
-            self.extent, self.ghost, self.dtype.itemsize
-        )
-
-        self._plan = []
-        for neighbor in all_regions(ndim):
-            send_box = neighbor_send_box(neighbor, self.extent, self.ghost)
-            send_slc = box_slices(send_box)
-            recv_slc = box_slices(neighbor_recv_box(neighbor, self.extent, self.ghost))
-            box_shape = tuple(reversed(send_box[1]))
-            count = int(np.prod(box_shape))
-            rank = comm.neighbor_rank(neighbor.to_vector(ndim))
-            if rank is None:
-                # Non-periodic boundary: nothing to exchange with this
-                # neighbor; the ghost box keeps whatever boundary
-                # condition the application wrote there.
+        self.dtype = checked_dtype(array, self.extent, self.ghost, dtype)
+        self.array = array
+        sends, recvs = [], []
+        for peer, sbox, rbox, stag, rtag, spec in array_neighbors(
+            comm, self.extent, self.ghost, self.dtype.itemsize
+        ):
+            count = math.prod(sbox[1])
+            sent = PlannedMessage(peer, stag, count * self.dtype.itemsize)
+            got = PlannedMessage(peer, rtag, count * self.dtype.itemsize)
+            if array is None:
+                sends.append(WireMessage(sent, spec))
+                recvs.append(WireMessage(got, spec))
                 continue
-            # Persistent staging: the flat buffers go on the wire; the
-            # box-shaped reshapes of the same memory let pack/unpack run
-            # as one strided copy each, with no per-step temporaries.
-            # Plan-only exchangers skip the allocation entirely.
-            entry = {
-                "neighbor": neighbor,
-                "rank": rank,
-                "send_slices": send_slc,
-                "recv_slices": recv_slc,
-                "count": count,
-                "send_tag": exchange_tag(
-                    direction_index(neighbor.opposite().to_vector(ndim)), 0
-                ),
-                "recv_tag": exchange_tag(
-                    direction_index(neighbor.to_vector(ndim)), 0
-                ),
-            }
-            if array is not None:
-                send_buf = np.empty(count, dtype=array.dtype)
-                recv_buf = np.empty(count, dtype=array.dtype)
-                entry.update(
-                    send_buf=send_buf,
-                    recv_buf=recv_buf,
-                    send_view=send_buf.reshape(box_shape),
-                    recv_view=recv_buf.reshape(box_shape),
-                )
-            self._plan.append(entry)
-        planned = {p["neighbor"] for p in self._plan}
-        self._specs = [m for m in self._specs if m.neighbor in planned]
-
-    # ------------------------------------------------------------------
-    def send_specs(self) -> List[MessageSpec]:
-        return list(self._specs)
-
-    def message_plan(self) -> RankMessagePlan:
-        itemsize = self.dtype.itemsize
-        return RankMessagePlan(
-            rank=self.comm.rank,
-            method=self.method,
-            sends=tuple(
-                PlannedMessage(
-                    peer=p["rank"], tag=p["send_tag"],
-                    nbytes=p["count"] * itemsize,
-                )
-                for p in self._plan
-            ),
-            recvs=tuple(
-                PlannedMessage(
-                    peer=p["rank"], tag=p["recv_tag"],
-                    nbytes=p["count"] * itemsize,
-                )
-                for p in self._plan
-            ),
-        )
-
-    def _require_array(self) -> np.ndarray:
-        if self.array is None:
-            raise ExchangeConfigError(
-                f"{type(self).__name__} was built plan-only (no array);"
-                " it can be introspected but not exchanged"
-            )
-        return self.array
-
-    def exchange(self) -> ExchangeResult:
-        arr = self._require_array()
-        rank = self.comm.rank
-        # Phase 1: post every receive before any send (deadlock-free).
-        reqs = []
-        with _TRACER.span("exchange.post", rank=rank, method=self.method):
-            for p in self._plan:
-                reqs.append(
-                    self.comm.Irecv(p["recv_buf"], p["rank"], p["recv_tag"])
-                )
-        # Phase 2: pack and send.
-        with _TRACER.span("exchange.pack", rank=rank, method=self.method):
-            for p in self._plan:
-                np.copyto(p["send_view"], arr[p["send_slices"]])  # the pack
-                reqs.append(
-                    self.comm.Isend(p["send_buf"], p["rank"], p["send_tag"])
-                )
-        with _TRACER.span("exchange.wait", rank=rank, method=self.method):
-            self.comm.Waitall(reqs)
-        # Phase 3: unpack.
-        with _TRACER.span("exchange.unpack", rank=rank, method=self.method):
-            for p in self._plan:
-                arr[p["recv_slices"]] = p["recv_view"]
-        if _METRICS.enabled:
-            packed = sum(p["send_buf"].nbytes for p in self._plan)
-            unpacked = sum(p["recv_buf"].nbytes for p in self._plan)
-            _METRICS.count("exchange.bytes_packed", packed + unpacked,
-                           rank=rank)
-            _METRICS.count("exchange.messages", len(self._plan), rank=rank)
-        return self._model_result()
-
-    def _model_result(self) -> ExchangeResult:
-        """Modelled outcome of one exchange (static per message plan)."""
-        breakdown = TimeBreakdown()
-        breakdown.charge("pack", self._pack_cost(self._specs) * 2)  # pack+unpack
-        call, wait = self._network_times(self._specs, self._specs)
-        breakdown.charge("call", call)
-        breakdown.charge("wait", wait)
-        sent = sum(m.wire_bytes for m in self._specs)
-        return ExchangeResult(
-            breakdown,
-            messages_sent=len(self._specs),
-            messages_received=len(self._specs),
-            payload_bytes_sent=sum(m.payload_bytes for m in self._specs),
-            wire_bytes_sent=sent,
-        )
-
-    def _build_channel(self, partitions):
-        arr = self._require_array()
-        plan = self._plan
-
-        def pack() -> None:
-            for p in plan:
-                np.copyto(p["send_view"], arr[p["send_slices"]])
-
-        def unpack() -> None:
-            for p in plan:
-                arr[p["recv_slices"]] = p["recv_view"]
-
-        return ExchangeChannel(
-            self.comm,
-            self.method,
-            posts=[(p["rank"], p["send_tag"], p["send_buf"]) for p in plan],
-            recvs=[(p["rank"], p["recv_tag"], p["recv_buf"]) for p in plan],
-            result=self._model_result(),
-            packed_bytes=sum(
-                p["send_buf"].nbytes + p["recv_buf"].nbytes for p in plan
-            ),
-            pre=pack,
-            post=unpack,
-            partitions=partitions,
-        )
+            # Persistent staging: the flat buffers go on the wire; their
+            # box-shaped reshapes let pack and unpack run as one strided
+            # copy each, with no per-step temporaries.
+            shape = tuple(reversed(sbox[1]))
+            sbuf = np.empty(count, self.dtype)
+            rbuf = np.empty(count, self.dtype)
+            pack = copier([(sbuf.reshape(shape), array[box_slices(sbox)])])
+            unpack = copier([(array[box_slices(rbox)], rbuf.reshape(shape))])
+            sends.append(WireMessage(sent, spec, sbuf, pack))
+            recvs.append(WireMessage(got, spec, rbuf, unpack))
+        self._bind(sends, recvs)

@@ -6,7 +6,9 @@ only the two face neighbors per dimension -- ``2 * D`` messages instead of
 exchanged, the axis-2 faces *include* the already-received axis-1 ghost
 bands, so diagonal data arrives in two hops.  The cost is synchronization:
 axis ``d+1`` cannot start until axis ``d`` has completed, so wire
-latencies serialize across dimensions.
+latencies serialize across dimensions.  Each axis is one phase of the
+message plan; phases are barrier-separated, so Shift never flattens into
+a persistent channel.
 
 Included as an ablation baseline; it still packs (the faces are
 non-contiguous boxes of a lexicographic array).
@@ -15,37 +17,35 @@ non-contiguous boxes of a lexicographic array).
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.exchange.base import (
-    ExchangeResult,
-    Exchanger,
+    PlannedExchanger,
     PlannedMessage,
-    RankMessagePlan,
+    WireMessage,
+    copier,
 )
-from repro.exchange.schedule import MessageSpec
-from repro.faults.errors import ExchangeConfigError
+from repro.exchange.boxes import box_slices
+from repro.exchange.pack import checked_dtype
+from repro.exchange.schedule import shift_schedule
 from repro.hardware.profiles import MachineProfile
-from repro.obs import METRICS as _METRICS
-from repro.obs import TRACER as _TRACER
 from repro.simmpi.comm import CartComm
-from repro.util.bitset import BitSet
-from repro.util.timing import TimeBreakdown
 
 __all__ = ["ShiftExchanger"]
 
 
-class ShiftExchanger(Exchanger):
+class ShiftExchanger(PlannedExchanger):
     """Dimension-by-dimension face exchange with corner forwarding."""
 
     method = "shift"
+    packs = True
 
     def __init__(
         self,
         comm: CartComm,
-        array: Optional[np.ndarray],
+        array: Optional[np.ndarray],  # None = plan-only
         extent: Sequence[int],
         ghost: int,
         profile: MachineProfile,
@@ -54,25 +54,18 @@ class ShiftExchanger(Exchanger):
         super().__init__(comm, profile)
         self.extent = tuple(int(e) for e in extent)
         self.ghost = int(ghost)
-        ndim = len(self.extent)
-        expected = tuple(e + 2 * self.ghost for e in reversed(self.extent))
-        if array is not None:
-            if array.shape != expected:
-                raise ExchangeConfigError(
-                    f"extended array shape {array.shape}, expected {expected}"
-                )
-            dtype = array.dtype
+        self.dtype = checked_dtype(array, self.extent, self.ghost, dtype)
         self.array = array
-        self.dtype = np.dtype(dtype)
-        self._phases = []  # one phase per axis, two directions each
         g = self.ghost
-        for axis in range(ndim):  # axis order 1..D
-            phase = []
-            for sign in (-1, 1):
+        ndim = len(self.extent)
+        specs = shift_schedule(self.extent, g, self.dtype.itemsize)
+        sends, recvs = [], []
+        for axis in range(ndim):  # axis order 1..D, one phase each
+            for side, sign in enumerate((-1, 1)):
                 vec = [0] * ndim
                 vec[axis] = sign
-                rank = comm.neighbor_rank(vec)
-                if rank is None:
+                peer = comm.neighbor_rank(vec)
+                if peer is None:
                     continue  # non-periodic boundary: skip this face
                 # Box extents: axes < axis use the FULL extended span
                 # (forwarding corners already received), axis uses the g-
@@ -83,139 +76,33 @@ class ShiftExchanger(Exchanger):
                         lo.append(0)
                         ext.append(e + 2 * g)
                     elif a == axis:
-                        if sign < 0:
-                            lo.append(g)  # send low surface band
-                        else:
-                            lo.append(e)
+                        lo.append(g if sign < 0 else e)  # send surface band
                         ext.append(g)
                     else:
                         lo.append(g)
                         ext.append(e)
-                send_lo = list(lo)
                 recv_lo = list(lo)
                 recv_lo[axis] = 0 if sign < 0 else g + self.extent[axis]
-                np_send = tuple(
-                    slice(l, l + x) for l, x in zip(reversed(send_lo), reversed(ext))
-                )
-                np_recv = tuple(
-                    slice(l, l + x) for l, x in zip(reversed(recv_lo), reversed(ext))
-                )
                 count = math.prod(ext)
-                run = 1
-                ext_shape = tuple(e + 2 * g for e in self.extent)
-                for a in range(ndim):
-                    run *= ext[a]
-                    if ext[a] != ext_shape[a]:
-                        break
-                phase.append(
-                    {
-                        "rank": rank,
-                        "send_slices": np_send,
-                        "recv_slices": np_recv,
-                        "tag": 1000 + axis * 4 + (0 if sign < 0 else 1),
-                        "rtag": 1000 + axis * 4 + (1 if sign < 0 else 0),
-                        "count": count,
-                        "axis": axis,
-                        "send_buf": (
-                            np.empty(count, dtype=self.dtype)
-                            if array is not None
-                            else None
-                        ),
-                        "recv_buf": (
-                            np.empty(count, dtype=self.dtype)
-                            if array is not None
-                            else None
-                        ),
-                        "spec": MessageSpec(
-                            BitSet.from_vector(vec),
-                            count * self.dtype.itemsize,
-                            count * self.dtype.itemsize,
-                            nsegments=max(1, count // run),
-                            run_elems=run,
-                        ),
-                    }
+                nbytes = count * self.dtype.itemsize
+                spec = specs[axis][side]
+                sent = PlannedMessage(
+                    peer, 1000 + axis * 4 + side, nbytes, phase=axis
                 )
-            self._phases.append(phase)
-
-    # ------------------------------------------------------------------
-    def send_specs(self) -> List[MessageSpec]:
-        return [p["spec"] for phase in self._phases for p in phase]
-
-    def message_plan(self) -> RankMessagePlan:
-        """Static per-rank schedule: one phase per axis, serialized."""
-        itemsize = self.dtype.itemsize
-        sends, recvs = [], []
-        for axis, phase in enumerate(self._phases):
-            for p in phase:
-                nbytes = p["count"] * itemsize
-                sends.append(
-                    PlannedMessage(p["rank"], p["tag"], nbytes, phase=axis)
+                got = PlannedMessage(
+                    peer, 1000 + axis * 4 + 1 - side, nbytes, phase=axis
                 )
-                recvs.append(
-                    PlannedMessage(p["rank"], p["rtag"], nbytes, phase=axis)
-                )
-        return RankMessagePlan(
-            self.comm.rank,
-            self.method,
-            tuple(sends),
-            tuple(recvs),
-            channelable=False,
-            nphases=len(self._phases),
-        )
-
-    def _require_array(self) -> np.ndarray:
-        if self.array is None:
-            raise ExchangeConfigError(
-                "ShiftExchanger was built plan-only (array=None); it can"
-                " describe its schedule but not execute an exchange"
-            )
-        return self.array
-
-    def exchange(self) -> ExchangeResult:
-        arr = self._require_array()
-        rank = self.comm.rank
-        breakdown = TimeBreakdown()
-        for axis, phase in enumerate(self._phases):
-            with _TRACER.span("exchange.shift_axis", rank=rank,
-                              method=self.method, axis=axis):
-                reqs = []
-                with _TRACER.span("exchange.pack", rank=rank):
-                    for p in phase:
-                        reqs.append(
-                            self.comm.Irecv(p["recv_buf"], p["rank"], p["rtag"])
-                        )
-                    for p in phase:
-                        p["send_buf"][:] = arr[p["send_slices"]].reshape(-1)
-                        reqs.append(
-                            self.comm.Isend(p["send_buf"], p["rank"], p["tag"])
-                        )
-                with _TRACER.span("exchange.wait", rank=rank):
-                    self.comm.Waitall(reqs)
-                with _TRACER.span("exchange.unpack", rank=rank):
-                    for p in phase:
-                        arr[p["recv_slices"]] = p["recv_buf"].reshape(
-                            arr[p["recv_slices"]].shape
-                        )
-                if _METRICS.enabled:
-                    moved = sum(
-                        p["send_buf"].nbytes + p["recv_buf"].nbytes
-                        for p in phase
-                    )
-                    _METRICS.count("exchange.bytes_packed", moved, rank=rank)
-                    _METRICS.count("exchange.messages", len(phase), rank=rank)
-                # Phases serialize: each pays its own pack + network round.
-                specs = [p["spec"] for p in phase]
-                breakdown.charge("pack", self._pack_cost(specs) * 2)
-                call, wait = self._network_times(specs, specs)
-                breakdown.charge("call", call)
-                breakdown.charge("wait", wait)
-                self.comm.Barrier()
-
-        all_specs = self.send_specs()
-        return ExchangeResult(
-            breakdown,
-            messages_sent=len(all_specs),
-            messages_received=len(all_specs),
-            payload_bytes_sent=sum(m.payload_bytes for m in all_specs),
-            wire_bytes_sent=sum(m.wire_bytes for m in all_specs),
-        )
+                if array is None:
+                    sends.append(WireMessage(sent, spec))
+                    recvs.append(WireMessage(got, spec))
+                    continue
+                shape = tuple(reversed(ext))
+                sbuf = np.empty(count, self.dtype)
+                rbuf = np.empty(count, self.dtype)
+                send_box = array[box_slices((lo, ext))]
+                recv_box = array[box_slices((recv_lo, ext))]
+                pack = copier([(sbuf.reshape(shape), send_box)])
+                unpack = copier([(recv_box, rbuf.reshape(shape))])
+                sends.append(WireMessage(sent, spec, sbuf, pack))
+                recvs.append(WireMessage(got, spec, rbuf, unpack))
+        self._bind(sends, recvs)

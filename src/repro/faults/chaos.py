@@ -36,8 +36,9 @@ the small reference problem end-to-end, and classifies the outcome:
 
 Shift is excluded from the soak: its per-axis barrier phases make a
 whole-exchange retry unsafe (peers may already sit at a later barrier),
-so it has no healing story -- the other exchangers retry safely because
-the envelope fabric makes retries idempotent.
+so it has no healing story and ``run_executed`` refuses drop/corrupt
+plans for it -- the other exchangers retry safely because the envelope
+fabric makes retries idempotent.
 """
 
 from __future__ import annotations

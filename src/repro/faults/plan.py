@@ -99,6 +99,19 @@ class FaultPlan:
             return True
         return bool(self.edge_overrides)
 
+    @property
+    def loses_messages(self) -> bool:
+        """True when any edge may drop or corrupt a message -- the faults
+        only a whole-exchange retry heals."""
+        kinds = ("drop", "corrupt")
+        if any(getattr(self, k) > 0.0 for k in kinds):
+            return True
+        return any(
+            float(o.get(k, 0.0)) > 0.0
+            for o in self.edge_overrides.values()
+            for k in kinds
+        )
+
     # ------------------------------------------------------------------
     def _edge_probs(self, src: int, dst: int) -> Tuple[float, ...]:
         override = self.edge_overrides.get((src, dst))

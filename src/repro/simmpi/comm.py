@@ -9,7 +9,7 @@ handles; ``Waitall`` completes a batch; ``Barrier`` synchronises; and
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -117,6 +117,9 @@ class CartComm(SimComm):
         if len(self.periods) != len(self.dims):
             raise ExchangeConfigError("periods length must match dims")
         self.coords = self.rank_to_coords(rank)
+        # The topology is fixed at construction, so neighbor lookups
+        # (every exchanger binds its message table through them) memoize.
+        self._neighbors: Dict[Tuple[int, ...], Optional[int]] = {}
 
     # ------------------------------------------------------------------
     def rank_to_coords(self, rank: int) -> Tuple[int, ...]:
@@ -144,14 +147,20 @@ class CartComm(SimComm):
 
     def neighbor_rank(self, direction: Sequence[int]) -> Optional[int]:
         """Rank one step along *direction* (axis 1 first); None if off-grid."""
-        if len(direction) != len(self.dims):
+        key = tuple(direction)
+        if key in self._neighbors:
+            return self._neighbors[key]
+        if len(key) != len(self.dims):
             raise ExchangeConfigError("direction dimensionality mismatch")
         coords = []
-        for c, d, p, step in zip(self.coords, self.dims, self.periods, direction):
+        for c, d, p, step in zip(self.coords, self.dims, self.periods, key):
             nc = c + int(step)
             if p:
                 nc %= d
             elif not 0 <= nc < d:
-                return None
+                coords = None
+                break
             coords.append(nc)
-        return self.coords_to_rank(coords)
+        peer = None if coords is None else self.coords_to_rank(coords)
+        self._neighbors[key] = peer
+        return peer

@@ -6,6 +6,7 @@ import pytest
 from repro.core.driver import run_executed
 from repro.core.problem import StencilProblem
 from repro.faults import FaultPlan, InjectedCrashError
+from repro.faults.errors import ExchangeConfigError
 from repro.faults.chaos import (
     PRESETS,
     ChaosConfig,
@@ -42,6 +43,41 @@ class TestFaultedRuns:
         assert any(k.startswith("injected_") for k in events)
         # Every injected drop/corrupt produced a retransmit + healed retry.
         assert events.get("healed", 0) >= 1
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            FaultPlan(seed=0, drop=0.08),
+            FaultPlan(seed=0, corrupt=0.08),
+            FaultPlan(seed=0, edge_overrides={(0, 1): {"corrupt": 0.5}}),
+        ],
+        ids=["drop", "corrupt", "edge-corrupt"],
+    )
+    def test_shift_refuses_faults_it_cannot_heal(self, plan, monkeypatch):
+        """A whole-exchange retry is unsafe across Shift's per-axis
+        barriers (a launched run deadlocks), so the plan is refused
+        before any rank starts."""
+        import repro.core.driver as driver
+
+        def launch(*args, **kwargs):
+            raise AssertionError("ranks launched for an unhealable plan")
+
+        monkeypatch.setattr(driver, "run_spmd", launch)
+        with pytest.raises(ExchangeConfigError, match="shift"):
+            run_executed(_problem(), "shift", timesteps=1, seed=0,
+                         fault_plan=plan, fabric_timeout=2.0)
+
+    def test_shift_runs_exactly_through_duplicates(self):
+        problem = _problem()
+        steps = 2
+        plan = FaultPlan(seed=0, duplicate=0.08)
+        run = run_executed(problem, "shift", timesteps=steps, seed=0,
+                           fault_plan=plan, fabric_timeout=10.0)
+        reference = apply_periodic_reference(
+            problem.initial_global(0), SEVEN_POINT, steps
+        )
+        np.testing.assert_array_equal(run.global_result, reference)
+        assert run.faults["events"].get("injected_duplicate", 0) >= 1
 
     def test_same_seed_same_schedule_and_state(self):
         problem = _problem()

@@ -10,6 +10,7 @@ import pytest
 
 from repro.brick.convert import bricks_to_extended, extended_to_bricks
 from repro.brick.decomp import BrickDecomp
+from repro.exchange.brickpack import BrickPackExchanger
 from repro.exchange.layout_ex import LayoutExchanger
 from repro.exchange.memmap_ex import MemMapExchanger
 from repro.exchange.mpitypes import MPITypesExchanger
@@ -220,3 +221,66 @@ class TestRepeatedExchanges:
             storage.close()
 
         run_spmd(8, fn)
+
+
+def _scheme(mode, cart, profile):
+    """(exchanger, its buffer) for *mode*, the buffer filled -- ghosts
+    included -- with this rank's seeded random data."""
+    rng = np.random.default_rng(cart.rank)
+    if mode in ("pack", "mpi_types"):
+        cls = PackExchanger if mode == "pack" else MPITypesExchanger
+        arr = rng.random(tuple(s + 2 * G for s in reversed(SUB)))
+        return cls(cart, arr, SUB, G, profile), arr
+    d = BrickDecomp(SUB, (8, 8, 8), G)
+    if mode == "memmap":
+        storage, asn = d.mmap_alloc(4096)
+        ex = MemMapExchanger(cart, d, storage, asn, profile, 4096)
+    else:
+        storage, asn = d.allocate()
+        if mode == "brickpack":
+            ex = BrickPackExchanger(cart, d, storage, asn, profile)
+        else:
+            ex = LayoutExchanger(cart, d, storage, asn, profile,
+                                 merge_runs=(mode == "layout"))
+    storage.data[:] = rng.random(storage.data.shape)
+    return ex, storage.data
+
+
+class TestRunPathsAgree:
+    """The per-message path and the channel fire one schedule (Shift,
+    whose phases never flatten into a channel, is covered by
+    test_overlap.py::test_shift_has_no_channel)."""
+
+    @pytest.mark.parametrize(
+        "mode", ["pack", "mpi_types", "layout", "basic", "memmap", "brickpack"]
+    )
+    def test_per_message_and_channel_agree(self, mode):
+        profile = theta_knl()
+
+        def fn(comm):
+            cart = comm.Create_cart(RANK_DIMS)
+            direct, a = _scheme(mode, cart, profile)
+            chained, b = _scheme(mode, cart, profile)
+            before = a.copy()
+            ra = direct.exchange()
+            assert not np.array_equal(a, before)  # ghosts were written
+            cart.Barrier()
+            channel = chained.make_channel()
+            rb = channel.exchange()
+            np.testing.assert_array_equal(a, b)
+            posts = [(p, t, len(v)) for p, t, v in channel._posts]
+            planned = [(m.peer, m.tag, m.nbytes)
+                       for m in chained.message_plan().sends]
+            for ex in (direct, chained):
+                if mode == "memmap":
+                    ex.close()
+                if hasattr(ex, "storage"):
+                    ex.storage.close()
+            return ra, rb, posts, planned
+
+        for ra, rb, posts, planned in run_spmd(8, fn):
+            assert ra.breakdown == rb.breakdown
+            for field in ("messages_sent", "messages_received",
+                          "payload_bytes_sent", "wire_bytes_sent"):
+                assert getattr(ra, field) == getattr(rb, field)
+            assert posts == planned

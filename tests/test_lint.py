@@ -63,6 +63,29 @@ def test_fabric_call_in_allowlisted_file_ok():
     assert lint_invariants.check_fabric_chokepoint(path, ast.parse(src)) == []
 
 
+def test_scheme_overriding_exchange_flagged():
+    src = (
+        "class Synthetic(PlannedExchanger):\n"
+        "    def exchange(self):\n"
+        "        reqs = [self.comm.Isend(self.buf, 1, 0)]\n"
+        "        self.comm.Waitall(reqs)\n"
+    )
+    path = lint_invariants.SRC / "exchange" / "synthetic.py"
+    violations = sorted(
+        lint_invariants.check_single_schedule(path, ast.parse(src)),
+        key=lambda v: v[1],
+    )
+    assert [v[1] for v in violations] == [2, 3, 4]
+    assert "exchange" in violations[0][2]
+    assert "Isend" in violations[1][2] and "Waitall" in violations[2][2]
+
+
+def test_shared_schedule_home_not_flagged():
+    src = "class PlannedExchanger:\n    def exchange(self):\n        pass\n"
+    path = lint_invariants.SRC / "exchange" / "base.py"
+    assert lint_invariants.check_single_schedule(path, ast.parse(src)) == []
+
+
 def test_lint_file_on_real_sources():
     # Spot-check two real files through the full per-file path.
     for rel in ("simmpi/fabric.py", "check/schedule.py"):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.brick.decomp import BrickDecomp
+from repro.exchange.brickpack import BrickPackExchanger
 from repro.exchange.layout_ex import LayoutExchanger
 from repro.exchange.memmap_ex import MemMapExchanger
 from repro.exchange.mpitypes import MPITypesExchanger
@@ -19,7 +20,9 @@ from repro.exchange.schedule import (
     basic_brick_schedule,
     brick_send_schedule,
     memmap_schedule,
+    shift_schedule,
 )
+from repro.exchange.shift import ShiftExchanger
 from repro.hardware.profiles import theta_knl
 from repro.simmpi import run_spmd
 
@@ -36,15 +39,19 @@ def _build(mode, page=4096):
 
     def fn(comm):
         cart = comm.Create_cart((2, 2, 2))
-        if mode in ("pack", "mpi_types"):
+        if mode in ("pack", "mpi_types", "shift"):
             arr = np.zeros(tuple(s + 16 for s in reversed(SUB)))
-            cls = PackExchanger if mode == "pack" else MPITypesExchanger
+            cls = {"pack": PackExchanger, "mpi_types": MPITypesExchanger,
+                   "shift": ShiftExchanger}[mode]
             ex = cls(cart, arr, SUB, 8, profile)
             return sorted(_spec_key(m) for m in ex.send_specs())
         d = BrickDecomp(SUB, (8, 8, 8), 8)
         if mode == "memmap":
             st, asn = d.mmap_alloc(page)
             ex = MemMapExchanger(cart, d, st, asn, profile, page)
+        elif mode == "brickpack":
+            st, asn = d.allocate()
+            ex = BrickPackExchanger(cart, d, st, asn, profile)
         else:
             st, asn = d.allocate()
             ex = LayoutExchanger(
@@ -70,6 +77,10 @@ GRID, W, BB = (4, 4, 4), 1, 4096
         ("memmap", lambda: memmap_schedule(GRID, W, None, BB, 4096)),
         ("pack", lambda: array_schedule(SUB, 8)),
         ("mpi_types", lambda: array_schedule(SUB, 8)),
+        ("shift", lambda: [m for ph in shift_schedule(SUB, 8) for m in ph]),
+        # One staged message per neighbor carrying exactly the payload:
+        # the MemMap schedule with no page padding.
+        ("brickpack", lambda: memmap_schedule(GRID, W, None, BB, 1)),
     ],
 )
 def test_exchanger_matches_schedule(mode, schedule):
@@ -83,6 +94,8 @@ def test_exchanger_matches_schedule(mode, schedule):
         specs = sched.basic_brick_schedule(GRID, W, SURFACE3D, BB)
     elif mode == "memmap":
         specs = sched.memmap_schedule(GRID, W, SURFACE3D, BB, 4096)
+    elif mode == "brickpack":
+        specs = sched.memmap_schedule(GRID, W, SURFACE3D, BB, 1)
     else:
         specs = schedule()
     expected = sorted(_spec_key(m) for m in specs)

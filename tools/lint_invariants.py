@@ -2,7 +2,7 @@
 """AST lint for the repo's typed-error and fabric-chokepoint invariants.
 
 Plain Python on purpose: the CI lint job has ruff, local dev containers
-may not, and these rules are project-specific anyway.  Two checks:
+may not, and these rules are project-specific anyway.  Three checks:
 
 1. **No bare raises in the communication layers.**  Inside
    ``src/repro/simmpi`` and ``src/repro/exchange``, ``raise
@@ -20,6 +20,14 @@ may not, and these rules are project-specific anyway.  Two checks:
    (``exchange/base.py``).  Everything else must go through
    ``SimComm``/``ExchangeChannel`` so envelopes, liveness checks and
    split negotiation cannot be bypassed.
+
+3. **One schedule per method.**  Inside ``src/repro/exchange``, only
+   ``base.py`` may define ``exchange``, ``message_plan``,
+   ``make_channel``, ``_build_channel`` or ``send_specs``, or call
+   ``Isend``/``Irecv``/``Waitall``.  A scheme states its message lists
+   once and the shared implementation derives the plan, the pricing,
+   the channel and the per-message path from them, so a scheme that
+   re-implements one of those drifts from the others.
 
 Exit status 1 when any violation is found.  ``--list`` prints the file
 set without checking (CI sanity).
@@ -56,6 +64,18 @@ FABRIC_ALLOWLIST = (
     "simmpi/comm.py",
     "exchange/base.py",
 )
+
+#: run-path methods only the shared implementation may define
+SCHEDULE_DEFS = (
+    "exchange",
+    "message_plan",
+    "make_channel",
+    "_build_channel",
+    "send_specs",
+)
+#: point-to-point calls only the shared implementation may make
+SCHEDULE_CALLS = ("Isend", "Irecv", "Waitall")
+SCHEDULE_HOME = "exchange/base.py"
 
 Violation = Tuple[Path, int, str]
 
@@ -108,6 +128,30 @@ def check_fabric_chokepoint(path: Path, tree: ast.AST) -> List[Violation]:
     return out
 
 
+def check_single_schedule(path: Path, tree: ast.AST) -> List[Violation]:
+    rel = path.relative_to(SRC).as_posix()
+    if not rel.startswith("exchange/") or rel == SCHEDULE_HOME:
+        return []
+    out: List[Violation] = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name in SCHEDULE_DEFS:
+                out.append((
+                    path, node.lineno,
+                    f"scheme defines `{node.name}`; state the message"
+                    " lists and let PlannedExchanger derive it",
+                ))
+        elif isinstance(node, ast.Call):
+            fn = node.func
+            if isinstance(fn, ast.Attribute) and fn.attr in SCHEDULE_CALLS:
+                out.append((
+                    path, node.lineno,
+                    f"scheme calls `.{fn.attr}()`; only the shared"
+                    " per-message path in exchange/base.py posts messages",
+                ))
+    return out
+
+
 def lint_file(path: Path) -> List[Violation]:
     tree = ast.parse(path.read_text(), filename=str(path))
     rel = path.relative_to(SRC).as_posix()
@@ -115,6 +159,7 @@ def lint_file(path: Path) -> List[Violation]:
     if rel.split("/", 1)[0] in TYPED_ERROR_PACKAGES:
         out += check_bare_raises(path, tree)
     out += check_fabric_chokepoint(path, tree)
+    out += check_single_schedule(path, tree)
     return out
 
 
